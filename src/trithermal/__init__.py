@@ -8,6 +8,7 @@ and work baths, with or without inner coupling between the excited levels.
 from .model import (
     BARE,
     EIGEN,
+    POINT_COLUMNS,
     BathSpec,
     BasisError,
     ConfigError,
@@ -16,6 +17,7 @@ from .model import (
     EigenSystem,
     SystemParams,
     diagonalize,
+    stack_points,
     validate,
 )
 from .rates import (
@@ -51,6 +53,7 @@ from .observables import (
     carnot_cop,
     closed_form_currents,
     cop_and_bounds,
+    current_reports,
     effective_temperatures,
     entropy_production,
     heat_current_trace,

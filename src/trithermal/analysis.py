@@ -10,10 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, DeviceConfig, validate
-from .generator import build_partial_secular
-from .solver import steady_state
-from .observables import CurrentReport, current_scale, steady_state_report
+from .model import POINT_COLUMNS, ConfigError, DeviceConfig, stack_points, validate
+from .observables import CurrentReport, current_reports, current_scale
 
 #: |J_c| below this fraction of the current scale classifies as a valve point
 VALVE_TOLERANCE = 1e-9
@@ -59,6 +57,20 @@ class SweepGrid:
             return config.with_coupling(value)
         return config.with_bath_temperature(self.variable[1].lower(), value)
 
+    def expand(self, config: DeviceConfig, points: np.ndarray) -> np.ndarray:
+        """Each row of stacked ``points`` at every grid value, row-major.
+
+        Every value is first applied to ``config``, so that a value the
+        model rejects raises its ConfigError as ``apply`` does."""
+        values = self.values()
+        for value in values:
+            self.apply(config, float(value))
+        name = ("g" if self.variable == "g"
+                else f"temperature_{self.variable[1].lower()}")
+        expanded = np.repeat(points, len(values), axis=0)
+        expanded[:, POINT_COLUMNS.index(name)] = np.tile(values, len(points))
+        return expanded
+
 
 @dataclass(frozen=True)
 class ThermometerReading:
@@ -73,8 +85,10 @@ class ThermometerReading:
 def currents_at(config: DeviceConfig, t_w: float) -> CurrentReport:
     """Steady-state current report with the work bath set to t_w."""
     moved = config.with_bath_temperature("w", t_w)
-    generator = build_partial_secular(moved)
-    return steady_state_report(generator, steady_state(generator))
+    report, = current_reports(stack_points([moved]))
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
 def find_current_zero(config: DeviceConfig, which: str,
@@ -205,8 +219,11 @@ def amplification_factor(config: DeviceConfig, t_w: float,
     currents; the ratio of the increments is the amplification factor.
     """
     h = step * max(1.0, t_w)
-    upper = currents_at(config, t_w + h)
-    lower = currents_at(config, t_w - h)
+    return _response_ratio(currents_at(config, t_w + h),
+                           currents_at(config, t_w - h))
+
+
+def _response_ratio(upper: CurrentReport, lower: CurrentReport) -> float:
     d_jc = upper.j_c - lower.j_c
     d_jw = upper.j_w - lower.j_w
     scale = current_scale(upper.j_h, upper.j_c, upper.j_w)
@@ -241,30 +258,58 @@ def phase_map(config: DeviceConfig, tw_values, g_values,
     """Evaluate currents, amplification and classification over a (T_w, g) grid.
 
     Points are emitted in row-major (T_w outer, g inner) order; per-point
-    failures are recorded on the point instead of aborting the map.
+    failures are recorded on the point instead of aborting the map. Each
+    T_w row is one current_reports call: every g at T_w and T_w +- h.
     """
     validate(config)
+    g_values = [float(g) for g in g_values]
+    row = stack_points(config.with_coupling(g) for g in g_values)
     points = []
     for t_w in tw_values:
-        for g in g_values:
-            local = config.with_coupling(float(g))
-            try:
-                report = currents_at(local, float(t_w))
-                try:
-                    alpha = amplification_factor(local, float(t_w), fd_step)
-                    amp_class = "amplifier" if alpha > 1.0 else "contraction"
-                except AmplifierUndefinedError:
-                    alpha, amp_class = None, "undefined"
+        t_w = float(t_w)
+        h = fd_step * max(1.0, t_w)
+        # a point fails with the first failure of its own report and then
+        # of amplification_factor's two, as the single-point calls meet them
+        stages = _row_reports(config, row, (t_w, t_w + h, t_w - h))
+        for g, (report, upper, lower) in zip(g_values, zip(*stages)):
+            failure = next((r for r in (report, upper, lower)
+                            if isinstance(r, Exception)), None)
+            if failure is not None:
                 points.append(PhasePoint(
-                    t_w=float(t_w), g=float(g), report=report, alpha_j=alpha,
-                    function_class=classify_function(report),
-                    amplifier_class=amp_class))
-            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                points.append(PhasePoint(
-                    t_w=float(t_w), g=float(g), report=None, alpha_j=None,
+                    t_w=t_w, g=g, report=None, alpha_j=None,
                     function_class="error", amplifier_class="error",
-                    error=str(exc)))
+                    error=str(failure)))
+                continue
+            try:
+                alpha = _response_ratio(upper, lower)
+                amp_class = "amplifier" if alpha > 1.0 else "contraction"
+            except AmplifierUndefinedError:
+                alpha, amp_class = None, "undefined"
+            points.append(PhasePoint(
+                t_w=t_w, g=g, report=report, alpha_j=alpha,
+                function_class=classify_function(report),
+                amplifier_class=amp_class))
     return points
+
+
+def _row_reports(config: DeviceConfig, row: np.ndarray,
+                 temperatures) -> list[list]:
+    """current_reports of the stacked points ``row`` with T_w set to each
+    temperature in turn, in one call; a temperature the model rejects
+    fails every point with the model's error."""
+    checks = []
+    for t_w in temperatures:
+        try:
+            config.with_bath_temperature("w", t_w)
+            checks.append(None)
+        except ConfigError as exc:
+            checks.append(exc)
+    valid = [t_w for t_w, check in zip(temperatures, checks) if check is None]
+    stacked = np.repeat(row[None], len(valid), axis=0)
+    stacked[:, :, POINT_COLUMNS.index("temperature_w")] = np.array(valid)[:, None]
+    reports = iter(current_reports(stacked.reshape(-1, len(POINT_COLUMNS))))
+    return [[next(reports) for _ in row] if check is None
+            else [check] * len(row) for check in checks]
 
 
 def phase_map_csv(points: list[PhasePoint], stream=None) -> str:

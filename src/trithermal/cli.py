@@ -15,12 +15,13 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .model import BARE, EIGEN, BathSpec, ConfigError, DensityMatrix, DeviceConfig, SystemParams, validate
+import numpy as np
+
+from .model import BARE, EIGEN, BathSpec, ConfigError, DensityMatrix, DeviceConfig, SystemParams, point_column, stack_points, validate
 from .generator import build_full_secular, build_partial_secular
 from .solver import SteadyStateError, StepSizeError, default_timestep, evolve, trajectory_csv
-from .observables import CurrentReport, UndefinedObservableError
+from .observables import CurrentReport, UndefinedObservableError, current_reports
 from .analysis import (
     AmplifierUndefinedError,
     BracketError,
@@ -111,41 +112,25 @@ def parse_bracket(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _grid_points(config: DeviceConfig, grids: list[SweepGrid]):
-    """All configs on the (possibly nested) grid, outer grid first."""
-    points = [config]
+def _grid_points(config: DeviceConfig, grids: list[SweepGrid]) -> np.ndarray:
+    """Stacked points of the (possibly nested) grid, outer grid first."""
+    points = stack_points([config])
     for grid in grids:
-        points = [grid.apply(c, float(v)) for c in points
-                  for v in grid.values()]
+        points = grid.expand(config, points)
     return points
 
 
-def _report_rows(configs, threads: int):
-    """CurrentReport (or error string) per config, order-preserving."""
-    def solve(local: DeviceConfig):
-        try:
-            return currents_at(local, local.temperature("w"))
-        except _NUMERICAL_ERRORS as exc:
-            return str(exc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, configs))
-    return [solve(c) for c in configs]
-
-
-def _sweep_csv(configs, results) -> tuple[str, int]:
+def _sweep_csv(coordinates, results) -> tuple[str, int]:
+    """CSV of (T_w, g) coordinates and their CurrentReport or failure."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(CurrentReport.CSV_COLUMNS) + ["status"])
     failures = 0
-    for local, result in zip(configs, results):
-        t_w = local.temperature("w")
-        g = local.system.g
-        if isinstance(result, str):
+    for (t_w, g), result in zip(coordinates, results):
+        if isinstance(result, Exception):
             failures += 1
             writer.writerow([f"{t_w:.17g}", f"{g:.17g}"] + [""] * 9
-                            + [result])
+                            + [str(result)])
         else:
             writer.writerow(result.csv_row(t_w, g) + ["ok"])
     return buffer.getvalue(), failures
@@ -166,10 +151,12 @@ def _summary(message: str) -> None:
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     grids = [parse_grid(g) for g in args.grid or []]
-    configs = _grid_points(config, grids)
-    text, failures = _sweep_csv(configs, _report_rows(configs, args.threads))
+    points = _grid_points(config, grids)
+    coordinates = zip(point_column(points, "temperature_w").tolist(),
+                      point_column(points, "g").tolist())
+    text, failures = _sweep_csv(coordinates, current_reports(points))
     _emit(text, args.out)
-    _summary(f"sweep: {len(configs)} point(s), {failures} failure(s)")
+    _summary(f"sweep: {len(points)} point(s), {failures} failure(s)")
     return 2 if failures else 0
 
 
@@ -178,7 +165,7 @@ def cmd_valve(args) -> int:
     bracket = parse_bracket(args.bracket)
     t_w = find_current_zero(config, args.which, bracket)
     report = currents_at(config, t_w)
-    text, _ = _sweep_csv([config.with_bath_temperature("w", t_w)], [report])
+    text, _ = _sweep_csv([(t_w, config.system.g)], [report])
     _emit(text, args.out)
     _summary(f"valve: J_{args.which} = 0 at Tw = {t_w:.12g}")
     return 0
@@ -191,7 +178,7 @@ def cmd_refrigerator(args) -> int:
     # COP at the onset is a 0/0 limit; probe just inside the cooling window
     probe = onset * (1.0 + 1e-6)
     report = currents_at(config, probe)
-    text, _ = _sweep_csv([config.with_bath_temperature("w", probe)], [report])
+    text, _ = _sweep_csv([(probe, config.system.g)], [report])
     _emit(text, args.out)
     cop = "undefined" if report.cop is None else f"{report.cop:.12g}"
     _summary(f"refrigerator: cooling window opens at Tw = {onset:.12g}, "
@@ -273,7 +260,8 @@ def build_parser() -> _Parser:
     common.add_argument("--out", default=None,
                         help="output CSV path (default: stdout)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid evaluation")
+                        help="accepted and ignored: grids are evaluated in "
+                             "stacked blocks on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", parents=[common],

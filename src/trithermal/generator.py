@@ -6,6 +6,10 @@ uncoupled device (bare basis). Both act on the column-stacked vectorization
 of the 3x3 density matrix and keep the per-bath dissipator blocks around so
 heat currents can be evaluated bath by bath.
 
+The partial-secular generator also comes in a reduced form over stacked
+device points: populations and the excited-pair coherence form a closed
+block, and the four ground-excited coherences only decay.
+
 Rate convention: the Lindblad superoperator carries the explicit factor 2,
 L_X(rho) = 2 X rho X^dag - X^dag X rho - rho X^dag X, and the unitary block
 is scaled by the same factor so the whole equation of motion shares one time
@@ -17,18 +21,24 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .model import (
     BARE,
+    BATH_LABELS,
+    POINT_COLUMNS,
     BasisError,
+    BathColumns,
     ConfigError,
     DensityMatrix,
     DeviceConfig,
     EigenSystem,
     diagonalize,
+    eigensystem,
+    point_column,
     validate,
 )
 from .rates import RatePair, transition_rates
@@ -136,46 +146,166 @@ def _work_bath_block(pair: RatePair) -> np.ndarray:
     return L
 
 
-def build_partial_secular(config: DeviceConfig) -> Generator:
-    """Partial-secular Redfield generator in the system eigenbasis.
+#: dissipator builder of each bath, taking the pairs of _channel_weights
+_BUILDERS = {
+    "h": partial(_coupled_bath_block, cross_sign=-1.0),
+    "c": partial(_coupled_bath_block, cross_sign=+1.0),
+    "w": _work_bath_block,
+}
+
+
+def _channel_weights(eig: EigenSystem, label: str) -> tuple[tuple, tuple]:
+    """Frequencies and overlap weights of the rate pairs of one bath, in
+    the argument order of its block builder.
 
     The hot bath couples to the ground-excited transitions with amplitudes
     (-sin(phi/2), cos(phi/2)) on the (1<->2, 1<->3) channels and the cold
-    bath with (cos(phi/2), sin(phi/2)); the interference (cross) terms
-    between the two channels are retained, which is what sustains the
-    steady-state coherence between the excited levels.
+    bath with (cos(phi/2), sin(phi/2)); the cross pairs carry f1. The work
+    bath acts inside the excited doublet with unit weight. Floats, or
+    arrays with an EigenSystem of arrays.
+    """
+    if label == "w":
+        return (eig.capital_omega,), (np.ones_like(eig.capital_omega),)
+    weight_2, weight_3 = (eig.f3, eig.f2) if label == "h" else (eig.f2, eig.f3)
+    return ((eig.omega_2, eig.omega_3, eig.omega_2, eig.omega_3),
+            (weight_2, weight_3, eig.f1, eig.f1))
+
+
+def build_partial_secular(config: DeviceConfig) -> Generator:
+    """Partial-secular Redfield generator in the system eigenbasis.
+
+    The interference (cross) terms between the two ground-excited channels
+    are retained, which is what sustains the steady-state coherence between
+    the excited levels.
     """
     validate(config)
     eig = diagonalize(config.system)
-    bath_h = config.bath("h")
-    bath_c = config.bath("c")
-    bath_w = config.bath("w")
-
-    h_at_2 = transition_rates(eig.omega_2, bath_h)
-    h_at_3 = transition_rates(eig.omega_3, bath_h)
-    c_at_2 = transition_rates(eig.omega_2, bath_c)
-    c_at_3 = transition_rates(eig.omega_3, bath_c)
-    w_pair = transition_rates(eig.capital_omega, bath_w)
-
-    blocks = {
-        "h": _coupled_bath_block(
-            pair_2=h_at_2.scaled(eig.f3), pair_3=h_at_3.scaled(eig.f2),
-            cross_2=h_at_2.scaled(eig.f1), cross_3=h_at_3.scaled(eig.f1),
-            cross_sign=-1.0,
-        ),
-        "c": _coupled_bath_block(
-            pair_2=c_at_2.scaled(eig.f2), pair_3=c_at_3.scaled(eig.f3),
-            cross_2=c_at_2.scaled(eig.f1), cross_3=c_at_3.scaled(eig.f1),
-            cross_sign=+1.0,
-        ),
-        "w": _work_bath_block(w_pair),
-    }
+    blocks = {}
+    for label in BATH_LABELS:
+        bath = config.bath(label)
+        blocks[label] = _BUILDERS[label](*(
+            transition_rates(frequency, bath).scaled(weight)
+            for frequency, weight in zip(*_channel_weights(eig, label))))
     hamiltonian = np.diag([0.0, eig.omega_2, eig.omega_3]).astype(complex)
     unitary = _unitary_block((0.0, eig.omega_2, eig.omega_3))
     matrix = unitary + blocks["h"] + blocks["c"] + blocks["w"]
     return Generator(matrix=matrix, unitary=unitary, dissipators=blocks,
                      hamiltonian=hamiltonian, basis="eigen",
                      mode=PARTIAL_SECULAR, config=config)
+
+
+# the closed block: populations and the excited-pair coherences; the
+# ground-excited coherences rho_12 and rho_13 only decay (rho_21 and rho_31
+# as their conjugates)
+_CLOSED = [_I11, _I22, _I33, _I23, _I32]
+_DECAYING = [_I12, _I13]
+
+#: real coordinates (p1, p2, p3, u, w) of the closed block, rho_23 = u + i w,
+#: as vectors over (rho_11, rho_22, rho_33, rho_23, rho_32)
+_REAL_TO_COMPLEX = np.array([[1, 0, 0, 0, 0],
+                             [0, 1, 0, 0, 0],
+                             [0, 0, 1, 0, 0],
+                             [0, 0, 0, 1, 1j],
+                             [0, 0, 0, 1, -1j]])
+
+
+def _reduce_block(block: np.ndarray) -> np.ndarray:
+    """Real 5x5 form of a 9x9 block on its closed block (p1, p2, p3, u, w).
+
+    For a block mapping Hermitian matrices to Hermitian matrices the
+    population rows are real and the rho_32 row is the conjugate of the
+    rho_23 row, whose real and imaginary parts become the u and w rows.
+    """
+    mixed = block[np.ix_(_CLOSED, _CLOSED)] @ _REAL_TO_COMPLEX
+    return np.vstack([mixed[:4].real, mixed[3].imag])
+
+
+#: rate pairs each bath's block builder takes (see _channel_weights)
+_PAIRS = {"h": 4, "c": 4, "w": 1}
+
+
+def _templates() -> np.ndarray:
+    """Every bath's dissipator per unit value of each of its rates.
+
+    A row per rate (down, up of each pair, _channel_weights order, baths in
+    BATH_LABELS order) and 27 columns per bath: the reduced block,
+    flattened, then the diagonal at rho_12 and rho_13. Every entry of a
+    dissipator is linear in its rates, so a product of the rate values with
+    these rows rebuilds the blocks. Each column has at most three nonzero
+    entries, all of one bath.
+    """
+    rows = []
+    for k, label in enumerate(BATH_LABELS):
+        for unit in np.eye(2 * _PAIRS[label]):
+            block = _BUILDERS[label](*(RatePair(down=down, up=up)
+                                       for down, up in unit.reshape(-1, 2)))
+            row = np.zeros((len(BATH_LABELS), 27))
+            row[k] = np.concatenate([_reduce_block(block).ravel(),
+                                     block[_DECAYING, _DECAYING].real])
+            rows.append(row.ravel())
+    return np.array(rows)
+
+
+_TEMPLATES = _templates()
+#: reduced unitary block per unit of omega_3 - omega_2
+_REDUCED_UNITARY = _reduce_block(_unitary_block((0.0, 0.0, 1.0)))
+#: point columns of the bath parameters of each pair
+_PAIR_COLUMNS = np.array([[POINT_COLUMNS.index(f"{field}_{label}")
+                           for label in BATH_LABELS
+                           for _ in range(_PAIRS[label])]
+                          for field in BathColumns._fields])
+
+
+@dataclass(frozen=True)
+class ReducedGenerators:
+    """Partial-secular generators of stacked device points, on the closed
+    block in the real form of ``_reduce_block``.
+
+    ``matrix`` is the whole closed block, ``dissipators`` and ``unitary``
+    its parts. ``decay`` holds the diagonal of the full generator at rho_12
+    and rho_13; those rows have no other entry. Points whose omega_2 is
+    negative, outside the rates' domain (large g), are flagged in
+    ``out_of_domain`` and built at omega_2 = 0.
+    """
+
+    matrix: np.ndarray       # (N, 5, 5)
+    dissipators: np.ndarray  # (N, 3, 5, 5), baths in BATH_LABELS order
+    unitary: np.ndarray      # (N, 5, 5)
+    decay: np.ndarray        # (N, 2), complex
+    eig: EigenSystem         # of (N,) arrays
+    out_of_domain: np.ndarray
+
+
+def reduced_partial_secular(points: np.ndarray) -> ReducedGenerators:
+    """``build_partial_secular`` of every row of stacked device points.
+
+    The rates of all nine pairs come from one transition_rates call, and
+    all blocks from one product of the rate values with templates taken
+    from the 9x9 builders, so the two forms share every coefficient.
+    """
+    n = len(points)
+    eig = eigensystem(point_column(points, "omega_a"),
+                      point_column(points, "omega_b"),
+                      point_column(points, "g"))
+    out_of_domain = eig.omega_2 < 0
+    if out_of_domain.any():
+        eig = replace(eig, omega_2=np.where(out_of_domain, 0.0, eig.omega_2))
+    channels = [_channel_weights(eig, label) for label in BATH_LABELS]
+    frequencies = np.array([f for group, _ in channels for f in group])
+    weights = np.array([w for _, group in channels for w in group])
+    bath = BathColumns(*points[:, _PAIR_COLUMNS].transpose(1, 2, 0))
+    bare = transition_rates(frequencies, bath)
+    rates = np.array([weights * bare.down, weights * bare.up]).T  # (N, 9, 2)
+    blocks = (rates.reshape(n, -1) @ _TEMPLATES).reshape(n, 3, 27)
+    dissipators = blocks[:, :, :25].reshape(n, 3, 5, 5)
+    unitary = (eig.omega_3 - eig.omega_2)[:, None, None] * _REDUCED_UNITARY
+    return ReducedGenerators(
+        matrix=dissipators.sum(axis=1) + unitary,
+        dissipators=dissipators,
+        unitary=unitary,
+        decay=(blocks[:, :, 25:].sum(axis=1)
+               + 2j * np.array([eig.omega_2, eig.omega_3]).T),
+        eig=eig, out_of_domain=out_of_domain)
 
 
 def _lindblad_superop(jump: np.ndarray) -> np.ndarray:

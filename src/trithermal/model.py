@@ -1,14 +1,15 @@
 """Parameter records and the eigenbasis decomposition of the three-level system.
 
 Everything here is immutable and validated on construction, so records can be
-shared freely across sweep workers. Frequencies and temperatures are expressed
+shared freely. Stacked device points, one array row per config, feed the
+vectorized steady-state engine. Frequencies and temperatures are expressed
 in units of the upper bare level spacing (omega_a), with hbar = k_B = 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,15 +75,22 @@ def diagonalize(system: SystemParams) -> EigenSystem:
     The mixing angle uses a two-argument arctangent so the degenerate case
     delta = 0 lands on phi = pi/2 instead of dividing by zero.
     """
-    delta = system.delta
-    splitting = math.hypot(2.0 * system.g, delta)
-    half_sum = 0.5 * (system.omega_a + system.omega_b)
-    phi = math.atan2(2.0 * system.g, delta)
-    c = math.cos(0.5 * phi)
-    s = math.sin(0.5 * phi)
+    return eigensystem(system.omega_a, system.omega_b, system.g)
+
+
+def eigensystem(omega_a, omega_b, g) -> EigenSystem:
+    """``diagonalize`` on raw parameters, floats or arrays over stacked points."""
+    delta = omega_a - omega_b
+    coupling = 2.0 * g
+    splitting = np.hypot(coupling, delta)
+    half_sum = 0.5 * (omega_a + omega_b)
+    half_splitting = 0.5 * splitting
+    phi = np.arctan2(coupling, delta)
+    c = np.cos(0.5 * phi)
+    s = np.sin(0.5 * phi)
     return EigenSystem(
-        omega_2=half_sum - 0.5 * splitting,
-        omega_3=half_sum + 0.5 * splitting,
+        omega_2=half_sum - half_splitting,
+        omega_3=half_sum + half_splitting,
         delta=delta,
         capital_omega=splitting,
         phi=phi,
@@ -156,6 +164,39 @@ def validate(config: DeviceConfig) -> DeviceConfig:
     # frozen dataclasses validate on construction; rebuilding re-runs all checks
     DeviceConfig(system=config.system, baths=config.baths)
     return config
+
+
+#: column layout of stacked device points, one row per point: the system
+#: parameters, then temperature, gamma and cutoff of each bath in
+#: BATH_LABELS order
+POINT_COLUMNS = ("omega_a", "omega_b", "g") + tuple(
+    f"{field}_{label}" for label in BATH_LABELS
+    for field in ("temperature", "gamma", "cutoff"))
+
+
+class BathColumns(NamedTuple):
+    """Temperature, gamma and cutoff of one bath over stacked device points."""
+
+    temperature: np.ndarray
+    gamma: np.ndarray
+    cutoff: np.ndarray
+
+
+def stack_points(configs) -> np.ndarray:
+    """Stack validated configs into an (N, len(POINT_COLUMNS)) array."""
+    rows = []
+    for config in configs:
+        row = [config.system.omega_a, config.system.omega_b, config.system.g]
+        for label in BATH_LABELS:
+            bath = config.bath(label)
+            row += [bath.temperature, bath.gamma, bath.cutoff]
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, len(POINT_COLUMNS))
+
+
+def point_column(points: np.ndarray, name: str) -> np.ndarray:
+    """One named column (see POINT_COLUMNS) of stacked device points."""
+    return points[:, POINT_COLUMNS.index(name)]
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BARE, ConfigError, DensityMatrix, DeviceConfig, diagonalize, validate
-from .generator import Generator, dissipator_apply, vectorize, _I11, _I22, _I33
-from .rates import transition_rates
+from .model import (
+    BARE,
+    ConfigError,
+    DensityMatrix,
+    DeviceConfig,
+    diagonalize,
+    point_column,
+    validate,
+)
+from .generator import (
+    Generator,
+    dissipator_apply,
+    reduced_partial_secular,
+    vectorize,
+    _I11,
+    _I22,
+    _I33,
+)
+from .rates import FrequencyDomainError, transition_rates
+from .solver import reduced_steady_states
 
 #: relative floor below which the COP is reported as undefined
 COP_CURRENT_FLOOR = 1e-14
+
+#: device points per block of current_reports; a constant, so that the
+#: engine's working memory does not grow with the grid
+BLOCK_POINTS = 256
 
 # 80-bit extended precision where the platform provides it (x86 linux does);
 # used only to polish steady states before taking energy traces
@@ -162,6 +183,59 @@ def cold_current_decomposition(config: DeviceConfig,
     j_c13 = eig.omega_3 * (2.0 * eig.f3 * (c_3.up * p[0] - c_3.down * p[2])
                            - eig.f1 * c_2.down * x)
     return j_c12, j_c13
+
+
+def current_reports(points: np.ndarray) -> list[CurrentReport | Exception]:
+    """Current reports of the partial-secular steady states of stacked
+    device points (rows laid out as model.POINT_COLUMNS).
+
+    The report of ``steady_state_report(g, steady_state(g))`` with
+    ``g = build_partial_secular(config)``, to roundoff, computed on the
+    reduced generator BLOCK_POINTS points at a time. A point that fails
+    gets the exception the 9x9 path raises in place of its report.
+    """
+    reports = []
+    for start in range(0, len(points), BLOCK_POINTS):
+        reports += _block_reports(points[start:start + BLOCK_POINTS])
+    return reports
+
+
+def _block_reports(points: np.ndarray) -> list[CurrentReport | Exception]:
+    generators = reduced_partial_secular(points)
+    errors = [FrequencyDomainError("transition frequency must be non-negative")
+              if out else None for out in generators.out_of_domain]
+    v, v_ext = reduced_steady_states(generators, errors)
+
+    # Tr[H_S D_mu(rho)] sums the energy-weighted population rows (E_1 = 0);
+    # the two terms of the cold bath's sum are its 1<->2 and 1<->3 channels
+    eig = generators.eig
+    energies = np.array([eig.omega_2, eig.omega_3], dtype=v_ext.dtype).T
+    terms = ((generators.dissipators[:, :, 1:3].astype(v_ext.dtype)
+              @ v_ext[:, None, :, None])[..., 0] * energies[:, None, :])
+    j_h, j_c, j_w = terms.sum(axis=2).astype(float).T
+    j_c12, j_c13 = terms[:, 1].astype(float).T
+
+    reports = list(errors)
+    columns = zip(j_h.tolist(), j_c.tolist(), j_w.tolist(), j_c12.tolist(),
+                  j_c13.tolist(), np.hypot(v[:, 3], v[:, 4]).tolist(),
+                  *(point_column(points, f"temperature_{label}").tolist()
+                    for label in "hcw"))
+    for i, (jh, jc, jw, jc12, jc13, coherence, t_h, t_c,
+            t_w) in enumerate(columns):
+        if errors[i] is not None:
+            continue
+        temperatures = {"h": t_h, "c": t_c, "w": t_w}
+        try:
+            carnot = carnot_cop(temperatures)
+        except UndefinedObservableError as exc:
+            reports[i] = exc
+            continue
+        reports[i] = CurrentReport(
+            j_h=jh, j_c=jc, j_w=jw, j_c12=jc12, j_c13=jc13,
+            coherence_abs=coherence, cop=_cop_or_none(jc, jw),
+            carnot_cop=carnot,
+            entropy_rate=entropy_production(jh, jc, jw, temperatures))
+    return reports
 
 
 def closed_form_currents(config: DeviceConfig,

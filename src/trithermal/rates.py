@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import BathSpec, EigenSystem
+import numpy as np
+
+from .model import BathColumns, BathSpec, EigenSystem
 
 #: below omega < SMALL_FREQUENCY_FACTOR * T the occupation uses its series form
 SMALL_FREQUENCY_FACTOR = 1e-6
@@ -23,10 +25,13 @@ class FrequencyDomainError(ValueError):
 
 @dataclass(frozen=True)
 class RatePair:
-    """Emission (down) and absorption (up) rates at one transition frequency."""
+    """Emission (down) and absorption (up) rates at one transition frequency.
 
-    down: float
-    up: float
+    Floats, or arrays over stacked device points.
+    """
+
+    down: float | np.ndarray
+    up: float | np.ndarray
 
     def scaled(self, factor: float) -> "RatePair":
         return RatePair(down=factor * self.down, up=factor * self.up)
@@ -46,25 +51,35 @@ def ohmic_spectral_density(omega: float, gamma: float, cutoff: float) -> float:
     return gamma * omega * math.exp(-omega / cutoff)
 
 
-def transition_rates(omega: float, bath: BathSpec) -> RatePair:
+def transition_rates(omega, bath: BathSpec | BathColumns) -> RatePair:
     """Emission/absorption rate pair of one bath at transition frequency omega.
 
     Valid for omega >= 0; the device only ever requests non-negative
     frequencies. down - up equals the spectral density exactly, at every
-    frequency, including across the small-frequency switch.
+    frequency, including across the small-frequency switch. omega and the
+    bath parameters may be arrays over stacked device points; the pair then
+    holds arrays.
     """
-    if omega < 0:
+    omega = np.asarray(omega, dtype=float)
+    if (omega < 0).any():
         raise FrequencyDomainError("transition frequency must be non-negative")
     T = bath.temperature
     x = omega / T
-    damping = bath.gamma * math.exp(-omega / bath.cutoff)
-    if x <= SMALL_FREQUENCY_FACTOR:
+    damping = bath.gamma * np.exp(-omega / bath.cutoff)
+    spectral = damping * omega
+    # G(w) n(w) = G(w) e^-x / (1 - e^-x), which tends to 0 instead of
+    # overflowing as x grows
+    small = x <= SMALL_FREQUENCY_FACTOR
+    any_small = small.any()
+    minus_x = np.where(small, -1.0, -x) if any_small else -x
+    up = spectral * np.exp(minus_x) / -np.expm1(minus_x)
+    if any_small:
         # G(w) n(w) = gamma T e^(-w/wc) * x / (e^x - 1); expand the last factor
-        up = damping * T * (1.0 - 0.5 * x + x * x / 12.0)
-    else:
-        up = damping * omega / math.expm1(x)
-    down = up + damping * omega
-    return RatePair(down=down, up=up)
+        x_small = np.where(small, x, 0.0)
+        up = np.where(small, damping * T * (1.0 - 0.5 * x_small
+                                            + x_small * x_small / 12.0), up)
+    down = up + spectral
+    return RatePair(down=down[()], up=up[()])
 
 
 def dressed_rates(omega: float, bath: BathSpec,

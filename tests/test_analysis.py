@@ -172,6 +172,24 @@ class TestPhaseMap:
         assert points[0].function_class == "error"
         assert "degenerate" in points[0].error
 
+    def test_rejected_temperatures_are_recorded(self):
+        """T_w <= 0 fails its row; a T_w - h <= 0 fails the amplification
+        step of a row whose own T_w is valid, with the model's message."""
+        points = phase_map(make_config(), [-1.0, 0.5, 3.6], [0.0, 0.02],
+                           fd_step=0.6)
+        assert [p.function_class for p in points[:4]] == ["error"] * 4
+        assert all(p.error == "bath w: temperature must be positive"
+                   for p in points[:4])
+        assert all(p.function_class != "error" for p in points[4:])
+
+    def test_points_match_the_single_point_functions(self):
+        config = make_config()
+        points = phase_map(config, [3.0, 6.0], [0.0, 0.05, 0.2])
+        for p in points:
+            local = config.with_coupling(p.g)
+            assert p.report == currents_at(local, p.t_w)
+            assert p.alpha_j == amplification_factor(local, p.t_w)
+
     def test_csv(self):
         points = phase_map(make_config(), [3.6], [0.02])
         lines = phase_map_csv(points).strip().split("\n")

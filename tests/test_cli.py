@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -117,6 +118,21 @@ class TestSweep:
         main(["sweep", "--config", path, "--grid", "g=0:0.1:6",
               "--grid", "Tw=1:3:3"])
         assert capsys.readouterr().out == first
+
+    def test_cold_sample_far_below_the_gap(self, config_path, capsys):
+        """T_c = 0.001 puts omega / T_c beyond the exponential's range; the
+        sweep still answers every point instead of raising."""
+        cold = json.loads(json.dumps(FIG4))
+        cold["baths"][1]["temperature"] = 0.001
+        path = config_path(cold)
+        code = main(["sweep", "--config", path, "--grid", "Tw=1:3:3"])
+        assert code in (0, 2)
+        rows = read_rows(capsys.readouterr().out)
+        assert len(rows) == 3
+        for row in rows:
+            if row["status"] == "ok":
+                assert all(math.isfinite(float(row[name]))
+                           for name in ("j_h", "j_c", "j_w", "entropy_rate"))
 
     def test_out_file(self, config_path, tmp_path):
         path = config_path(FIG4)

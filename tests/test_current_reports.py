@@ -1,0 +1,180 @@
+"""The stacked reduced-block engine against the 9x9 reference path."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from trithermal.model import (
+    BathSpec,
+    DeviceConfig,
+    SystemParams,
+    stack_points,
+)
+from trithermal.generator import (
+    _CLOSED,
+    _DECAYING,
+    _I21,
+    _I31,
+    _reduce_block,
+    build_partial_secular,
+    reduced_partial_secular,
+)
+from trithermal.solver import (
+    analytic_diagonal_steady_state,
+    reduced_steady_states,
+    steady_state,
+)
+from trithermal.observables import (
+    BLOCK_POINTS,
+    CurrentReport,
+    current_reports,
+    steady_state_report,
+    uncoupled_currents,
+)
+
+CURRENTS = ("j_h", "j_c", "j_w", "j_c12", "j_c13")
+
+
+def device(omega_b, g, temperatures, gammas=(0.008,) * 3,
+           cutoffs=(50.0,) * 3):
+    return DeviceConfig(
+        system=SystemParams(1.0, omega_b, g),
+        baths=tuple(BathSpec(label, t, gamma, cutoff) for label, t, gamma,
+                    cutoff in zip("hcw", temperatures, gammas, cutoffs)))
+
+
+@st.composite
+def devices(draw, g=st.floats(0.0, 0.3)):
+    three = st.tuples
+    return device(draw(st.floats(0.3, 0.99)), draw(g),
+                  draw(three(*[st.floats(0.1, 5.0)] * 3)),
+                  draw(three(*[st.floats(0.001, 0.02)] * 3)),
+                  draw(three(*[st.floats(10.0, 100.0)] * 3)))
+
+
+def reference(config):
+    """Report of the 9x9 path, or the exception it raises."""
+    try:
+        generator = build_partial_secular(config)
+        return steady_state_report(generator, steady_state(generator))
+    except Exception as exc:  # noqa: BLE001 - compared with the engine's
+        return exc
+
+
+def one(config):
+    report, = current_reports(stack_points([config]))
+    return report
+
+
+def generator_scale(config):
+    """max |L| times omega_3: the scale of each term of a current."""
+    generator = build_partial_secular(config)
+    omega_3 = generator.hamiltonian[2, 2].real
+    return float(np.max(np.abs(generator.matrix))) * omega_3
+
+
+@settings(max_examples=50, deadline=None)
+@given(devices())
+def test_reduced_form_is_the_closed_block_of_the_9x9(config):
+    """The closed block does not couple to the four other coherences, which
+    only decay; the stacked builder gives its real form and their diagonal."""
+    L = build_partial_secular(config).matrix
+    others = [k for k in range(9) if k not in _CLOSED]
+    assert not L[np.ix_(_CLOSED, others)].any()
+    assert not L[np.ix_(others, _CLOSED)].any()
+    assert not (L[np.ix_(others, others)]
+                - np.diag(L[others, others])).any()
+    reduced = reduced_partial_secular(stack_points([config]))
+    scale = np.max(np.abs(L))
+    assert np.max(np.abs(reduced.matrix[0] - _reduce_block(L))) <= 1e-15 * scale
+    diagonal = L[_DECAYING, _DECAYING]
+    assert np.max(np.abs(reduced.decay[0] - diagonal)) <= 1e-15 * scale
+    assert np.allclose(L[[_I21, _I31], [_I21, _I31]], diagonal.conj(),
+                       rtol=1e-15, atol=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(devices())
+def test_matches_the_9x9_reference(config):
+    expected, report = reference(config), one(config)
+    if isinstance(expected, Exception):
+        assert type(report) is type(expected)
+        assert str(report) == str(expected)
+        return
+    bound = 1e-13 * generator_scale(config)
+    for name in CURRENTS:
+        assert abs(getattr(report, name) - getattr(expected, name)) <= bound
+    assert abs(report.coherence_abs - expected.coherence_abs) <= 1e-13
+    assert report.carnot_cop == expected.carnot_cop
+    coldest = min(config.temperature(label) for label in "hcw")
+    assert abs(report.entropy_rate - expected.entropy_rate) <= (
+        3 * bound / coldest)
+
+
+@settings(max_examples=100, deadline=None)
+@given(devices(g=st.just(0.0)))
+def test_uncoupled_device_matches_the_closed_form(config):
+    """Criterion 8's 1e-10 on the state, and on the currents at the scale
+    of their terms."""
+    assume(config.temperature("c") != config.temperature("h"))
+    analytic = analytic_diagonal_steady_state(config)
+    oracle = uncoupled_currents(config, analytic)
+    errors = [None]
+    states, _ = reduced_steady_states(
+        reduced_partial_secular(stack_points([config])), errors)
+    assert errors == [None]
+    assert np.max(np.abs(states[0, :3] - analytic.populations)) < 1e-10
+    report = one(config)
+    bound = 1e-10 * generator_scale(config)
+    for name in CURRENTS:
+        assert abs(getattr(report, name) - getattr(oracle, name)) <= bound
+    assert report.coherence_abs <= 1e-10
+
+
+def test_grid_longer_than_one_block_equals_single_points():
+    rng = np.random.default_rng(7)
+    configs = [device(rng.uniform(0.3, 0.99), rng.uniform(0.0, 0.3),
+                      rng.uniform(0.1, 5.0, size=3),
+                      rng.uniform(0.001, 0.02, size=3),
+                      rng.uniform(10.0, 100.0, size=3))
+               for _ in range(BLOCK_POINTS + 45)]
+    reports = current_reports(stack_points(configs))
+    assert len(reports) == len(configs)
+    assert reports == [one(config) for config in configs]
+
+
+NORMAL = device(0.8, 0.02, (1.0, 0.85, 2.0))
+
+
+@pytest.mark.parametrize("bad", [
+    device(0.8, 0.0, (1.0, 0.85, 2.0), gammas=(0.0, 0.0, 0.0)),
+    device(0.8, 0.02, (1.0, 0.85, 2.0), gammas=(0.0, 0.0, 0.0)),
+    device(0.8, 1.0, (1.0, 0.85, 2.0)),  # omega_2 < 0
+    device(0.8, 0.02, (1.0, 1.0, 2.0)),  # Tc = Th
+], ids=["uncoupled-no-baths", "coupled-no-baths", "large-g", "tc-equals-th"])
+def test_a_failing_point_fails_alone(bad):
+    """A failing point between two normal ones carries the exception the
+    9x9 path raises; its neighbours equal their own one-point results."""
+    expected = reference(bad)
+    assert isinstance(expected, Exception)
+    first, failed, last = current_reports(stack_points([NORMAL, bad, NORMAL]))
+    assert type(failed) is type(expected)
+    assert str(failed) == str(expected)
+    assert first == last == one(NORMAL)
+    assert isinstance(first, CurrentReport)
+
+
+def test_degenerate_message_keeps_the_null_space_dimension():
+    failed = one(device(0.8, 0.0, (1.0, 0.85, 2.0), gammas=(0.0, 0.0, 0.0)))
+    assert str(failed) == "degenerate steady state: null space dimension 3"
+
+
+def test_non_finite_generator_fails_alone():
+    """The model accepts a NaN gamma; the point fails with a typed error
+    instead of failing the stacked rank check of its neighbours."""
+    bad = device(0.8, 0.02, (1.0, 0.85, 2.0),
+                 gammas=(float("nan"), 0.008, 0.008))
+    first, failed, last = current_reports(stack_points([NORMAL, bad, NORMAL]))
+    assert str(failed) == ("steady-state solve failed: generator has "
+                           "non-finite entries")
+    assert first == last == one(NORMAL)

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trithermal.model import BathSpec, SystemParams, diagonalize
+from trithermal.model import BathColumns, BathSpec, SystemParams, diagonalize
 from trithermal.rates import (
     SMALL_FREQUENCY_FACTOR,
     FrequencyDomainError,
@@ -49,6 +50,37 @@ def test_ohmic_density_peak():
 def test_negative_frequency_rejected():
     with pytest.raises(FrequencyDomainError):
         transition_rates(-0.1, BATH)
+
+
+def test_negative_frequency_rejected_in_arrays():
+    with pytest.raises(FrequencyDomainError):
+        transition_rates(np.array([0.5, -0.1]), BATH)
+
+
+@pytest.mark.parametrize("temperature", [1e-3, 1e-5, 1e-300])
+def test_absorption_vanishes_far_below_the_transition(temperature):
+    """omega / T beyond the exponential's range (~709) gives up -> 0, not
+    an OverflowError."""
+    bath = BathSpec("c", temperature, 0.008, 50.0)
+    pair = transition_rates(0.8, bath)
+    assert 0.0 <= pair.up < 1e-300
+    assert pair.down == pytest.approx(ohmic_spectral_density(0.8, 0.008, 50.0),
+                                      rel=1e-15)
+
+
+def test_arrays_match_scalars():
+    omegas = np.array([0.0, 1e-9, 0.3, 1.0, 900.0])
+    baths = [BathSpec("w", t, gamma, cutoff) for t, gamma, cutoff in
+             ((1.0, 0.008, 50.0), (0.5, 0.001, 10.0), (2.0, 0.02, 100.0),
+              (0.1, 0.004, 20.0), (1.0, 0.008, 50.0))]
+    columns = BathColumns(*(np.array(values) for values in zip(
+        *((b.temperature, b.gamma, b.cutoff) for b in baths))))
+    pairs = transition_rates(omegas, columns)
+    for k, (omega, bath) in enumerate(zip(omegas, baths)):
+        scalar = transition_rates(float(omega), bath)
+        assert (pairs.down[k], pairs.up[k]) == (scalar.down, scalar.up)
+    single = transition_rates(1.0, BATH)
+    assert f"{single.up:.17g}" == f"{float(single.up):.17g}"
 
 
 def test_zero_frequency_limit():
