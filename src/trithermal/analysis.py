@@ -19,6 +19,10 @@ VALVE_TOLERANCE = 1e-9
 #: default relative step for finite-difference derivatives in T_w
 FD_STEP = 1e-5
 
+#: thermometer ladder rungs solved per engine call; an engine call costs
+#: about as much as 15 more points in it
+_LADDER_CHUNK = 8
+
 
 class BracketError(ValueError):
     """The requested current does not change sign over the given bracket."""
@@ -86,32 +90,62 @@ def currents_at(config: DeviceConfig, t_w: float) -> CurrentReport:
     """Steady-state current report with the work bath set to t_w."""
     moved = config.with_bath_temperature("w", t_w)
     report, = current_reports(stack_points([moved]))
+    return _checked(report)
+
+
+def _checked(report: CurrentReport | Exception) -> CurrentReport:
     if isinstance(report, Exception):
         raise report
     return report
 
 
+def _reports_at(row: np.ndarray, temperatures) -> list:
+    """current_reports of the stacked points ``row`` with T_w set to each
+    of the given temperatures, which the caller has checked, in one call;
+    temperature-major order."""
+    stacked = np.repeat(row[None], len(temperatures), axis=0)
+    stacked[:, :, POINT_COLUMNS.index("temperature_w")] = np.reshape(
+        temperatures, (-1, 1))
+    return current_reports(stacked.reshape(-1, len(POINT_COLUMNS)))
+
+
 def find_current_zero(config: DeviceConfig, which: str,
                       bracket: tuple[float, float],
                       rel_tol: float = 1e-10) -> float:
-    """Bisect the selected steady-state current to zero in T_w.
+    """T_w at which the selected steady-state current vanishes.
 
-    The full steady state is re-solved at every evaluation. Only a single
-    sign change is assumed; callers narrow the bracket if several roots are
+    Brent's method: the two bracket ends are solved in one call, then every
+    step re-solves the full steady state at one point. The current changes
+    sign (or is exactly 0) within rel_tol * hi / 2 of the returned T_w, or
+    a few ulp if rel_tol is below the float spacing. Only a single sign
+    change is assumed; callers narrow the bracket if several roots are
     expected.
     """
     validate(config)
     if which not in ("h", "c", "w"):
         raise ConfigError(f"unknown current selector {which!r}")
     lo, hi = bracket
-    if not 0 < lo < hi:
-        raise ConfigError("bracket must satisfy 0 < lo < hi")
+    if not 0 < lo < hi < math.inf:
+        raise ConfigError("bracket must satisfy 0 < lo < hi < inf")
+    f_lo, f_hi = (getattr(_checked(report), f"j_{which}")
+                  for report in _reports_at(stack_points([config]),
+                                            (lo, hi)))
+    return _zero_in_bracket(
+        lambda t_w: getattr(currents_at(config, t_w), f"j_{which}"),
+        which, lo, f_lo, hi, f_hi, rel_tol)
 
-    def current(t_w: float) -> float:
-        return getattr(currents_at(config, t_w), f"j_{which}")
 
-    f_lo = current(lo)
-    f_hi = current(hi)
+def _zero_in_bracket(current, which: str, lo: float, f_lo: float, hi: float,
+                     f_hi: float, rel_tol: float) -> float:
+    """Zero of ``current`` over [lo, hi], given its values at both ends.
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): inverse quadratic interpolation or a secant
+    step, and a bisection step whenever these would not shrink the bracket
+    fast enough. It stops once the bracket [b, c] around the sign change is
+    no longer than rel_tol * max(b, c) / 2, or 4 ulp if that is more, and
+    returns its end b with the smaller |current|.
+    """
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -119,16 +153,44 @@ def find_current_zero(config: DeviceConfig, which: str,
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise BracketError(f"no working point in bracket: J_{which} does not "
                            f"change sign over [{lo}, {hi}]")
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        f_mid = current(mid)
-        if f_mid == 0.0:
-            return mid
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
+    # b is the latest estimate and a the one before; the sign change lies
+    # between b and c; step and prev are the last two steps
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi
+    c, f_c = a, f_a
+    step = prev = b - a
+    while True:
+        if abs(f_c) < abs(f_b):
+            a, f_a, b, f_b, c, f_c = b, f_b, c, f_c, b, f_b
+        top = max(b, c)
+        tol = max(0.25 * rel_tol * top, 2.0 * math.ulp(top))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or f_b == 0.0:
+            return b
+        if abs(prev) >= tol and abs(f_a) > abs(f_b):
+            s = f_b / f_a
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation through a, b, c
+                q, r = f_a / f_c, f_b / f_c
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # accept a step that stays well inside the bracket and is less
+            # than half the step before last; otherwise bisect
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(prev * q)):
+                prev, step = step, p / q
+            else:
+                prev = step = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            prev = step = m
+        a, f_a = b, f_b
+        b += step if abs(step) > tol else math.copysign(tol, m)
+        f_b = current(b)
+        if math.copysign(1.0, f_b) == math.copysign(1.0, f_c):
+            c, f_c = a, f_a
+            step = prev = b - a
 
 
 def equilibrium_tw(omega_a: float, omega_b: float, t_h: float,
@@ -172,36 +234,20 @@ def measure_temperature(config: DeviceConfig, tw_max_factor: float = 1e3,
                         rel_tol: float = 1e-10) -> ThermometerReading:
     """Simulated thermometer protocol for the uncoupled device.
 
-    Starting from T_w = T_h, the control temperature is raised by factors of
-    1.1 until the conductor current J_h changes sign, then bisected to its
-    zero. The config's cold-bath temperature plays the hidden sample
-    temperature; the reading must reproduce it.
+    The control temperature climbs the ladder T_w = T_h * 1.1^k, up to
+    tw_max_factor * T_h, until the conductor current J_h changes sign; its
+    zero on that last rung is then found by Brent's method, as in
+    find_current_zero. The config's cold-bath temperature plays the hidden
+    sample temperature; the reading must reproduce it.
     """
     validate(config)
     if config.system.g != 0.0:
         raise ConfigError("the thermometer protocol requires g=0")
     t_h = config.temperature("h")
     xi = config.system.omega_b / config.system.omega_a
-
-    def j_h(t_w: float) -> float:
-        return currents_at(config, t_w).j_h
-
-    lo = t_h
-    f_lo = j_h(lo)
-    hi = lo
-    t_w_max = tw_max_factor * t_h
-    while True:
-        hi = hi * 1.1
-        if hi > t_w_max:
-            raise MeasurementRangeError(
-                "sample below measurable range: J_h kept its sign up to "
-                f"Tw = {t_w_max:g}")
-        f_hi = j_h(hi)
-        if f_lo == 0.0 or math.copysign(1.0, f_hi) != math.copysign(1.0, f_lo):
-            break
-        lo, f_lo = hi, f_hi
-
-    tw_star = find_current_zero(config, "h", (lo, hi), rel_tol=rel_tol)
+    lo, f_lo, hi, f_hi = _ladder_bracket(config, tw_max_factor * t_h)
+    tw_star = _zero_in_bracket(lambda t_w: currents_at(config, t_w).j_h,
+                               "h", lo, f_lo, hi, f_hi, rel_tol)
     tc_estimate = tc_from_tw(tw_star, t_h, xi)
     return ThermometerReading(
         tw_star=tw_star,
@@ -209,6 +255,34 @@ def measure_temperature(config: DeviceConfig, tw_max_factor: float = 1e3,
         sensitivity=sensitivity(tc_estimate, t_h, xi),
         in_range=tc_estimate > xi * t_h,
     )
+
+
+def _ladder_bracket(config: DeviceConfig,
+                    t_w_max: float) -> tuple[float, float, float, float]:
+    """(lo, J_h(lo), hi, J_h(hi)) of the first rung (lo, hi = 1.1 lo) of
+    the thermometer ladder over which J_h changes sign, or which starts at
+    J_h = 0.
+
+    The rungs T_h, T_h * 1.1, ... up to t_w_max are solved _LADDER_CHUNK
+    per engine call and walked in order, so the walk is that of one solve
+    per rung: a rung's failure raises only once the walk reaches it.
+    """
+    rungs = [config.temperature("h")]
+    while (rung := rungs[-1] * 1.1) <= t_w_max and math.isfinite(rung):
+        rungs.append(rung)
+    row = stack_points([config])
+    lo = f_lo = None
+    for start in range(0, len(rungs), _LADDER_CHUNK):
+        chunk = rungs[start:start + _LADDER_CHUNK]
+        for hi, report in zip(chunk, _reports_at(row, chunk)):
+            f_hi = _checked(report).j_h
+            if lo is not None and (f_lo == 0.0 or math.copysign(1.0, f_hi)
+                                   != math.copysign(1.0, f_lo)):
+                return lo, f_lo, hi, f_hi
+            lo, f_lo = hi, f_hi
+    raise MeasurementRangeError(
+        "sample below measurable range: J_h kept its sign up to "
+        f"Tw = {t_w_max:g}")
 
 
 def amplification_factor(config: DeviceConfig, t_w: float,
@@ -305,9 +379,7 @@ def _row_reports(config: DeviceConfig, row: np.ndarray,
         except ConfigError as exc:
             checks.append(exc)
     valid = [t_w for t_w, check in zip(temperatures, checks) if check is None]
-    stacked = np.repeat(row[None], len(valid), axis=0)
-    stacked[:, :, POINT_COLUMNS.index("temperature_w")] = np.array(valid)[:, None]
-    reports = iter(current_reports(stacked.reshape(-1, len(POINT_COLUMNS))))
+    reports = iter(_reports_at(row, valid))
     return [[next(reports) for _ in row] if check is None
             else [check] * len(row) for check in checks]
 

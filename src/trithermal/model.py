@@ -8,6 +8,7 @@ in units of the upper bare level spacing (omega_a), with hbar = k_B = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -43,8 +44,9 @@ class SystemParams:
             raise ConfigError("omega_b must be positive")
         if self.omega_b > self.omega_a:
             raise ConfigError("level ordering violated: omega_b > omega_a")
-        if self.g < 0:
+        if not self.g >= 0:
             raise ConfigError("inner coupling g must be non-negative")
+        _require_finite(self, ("omega_a", "omega_b", "g"), "")
 
     @property
     def delta(self) -> float:
@@ -114,10 +116,19 @@ class BathSpec:
             raise ConfigError(f"unknown bath label {self.label!r}")
         if not self.temperature > 0:
             raise ConfigError(f"bath {self.label}: temperature must be positive")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ConfigError(f"bath {self.label}: gamma must be non-negative")
         if not self.cutoff > 0:
             raise ConfigError(f"bath {self.label}: cutoff must be positive")
+        _require_finite(self, ("temperature", "gamma", "cutoff"),
+                        f"bath {self.label}: ")
+
+
+def _require_finite(record, fields: tuple[str, ...], where: str) -> None:
+    """Reject an infinite field; the sign checks, run first, reject NaN."""
+    for name in fields:
+        if not math.isfinite(getattr(record, name)):
+            raise ConfigError(f"{where}{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,19 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from trithermal.model import BathSpec, ConfigError, DeviceConfig, SystemParams
-from trithermal.observables import CurrentReport
+import trithermal.analysis as analysis
+from trithermal.model import (
+    POINT_COLUMNS,
+    BathSpec,
+    ConfigError,
+    DeviceConfig,
+    SystemParams,
+)
+from trithermal.observables import CurrentReport, current_reports
+from trithermal.solver import SteadyStateError
 from trithermal.analysis import (
     AmplifierUndefinedError,
     BracketError,
@@ -64,6 +74,13 @@ class TestCurrentZero:
         assert t_c_zero == pytest.approx(3.524, abs=5e-3)
         assert abs(currents_at(config, t_c_zero).j_c) < 1e-12
 
+    def test_tolerance_below_the_float_spacing_terminates(self):
+        """rel_tol = 0 stops at a bracket of a few ulp instead of looping."""
+        config = make_config()
+        root = find_current_zero(config, "c", (1.0, 5.0), rel_tol=0.0)
+        assert root == pytest.approx(
+            find_current_zero(config, "c", (1.0, 5.0)), rel=1e-10)
+
     def test_no_sign_change(self):
         with pytest.raises(BracketError, match="no working point in bracket"):
             find_current_zero(make_config(), "c", (1.0, 2.0))
@@ -73,6 +90,125 @@ class TestCurrentZero:
             find_current_zero(make_config(), "x", (1.0, 2.0))
         with pytest.raises(ConfigError):
             find_current_zero(make_config(), "c", (2.0, 1.0))
+
+
+@st.composite
+def operating_devices(draw, g):
+    """Devices in the operating range omega_b T_h < T_c < T_h, with T_h = 1,
+    where the g = 0 root equilibrium_tw is at most 20."""
+    omega_b = draw(st.floats(0.5, 0.9))
+    t_c = omega_b + draw(st.floats(0.05, 0.95)) * (1.0 - omega_b)
+    return DeviceConfig(
+        system=SystemParams(1.0, omega_b, draw(g)),
+        baths=tuple(BathSpec(label, t, draw(st.floats(0.004, 0.016)),
+                             draw(st.floats(20.0, 100.0)))
+                    for label, t in zip("hcw", (1.0, t_c, 1.0))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operating_devices(st.just(0.0) | st.floats(0.0, 0.05,
+                                                  exclude_min=True)),
+       st.sampled_from("ch"))
+def test_root_contract(config, which):
+    """The current changes sign within rel_tol * hi / 2 of the root; at
+    g = 0 the root is the closed-form equilibrium temperature."""
+    expected = equilibrium_tw(1.0, config.system.omega_b, 1.0,
+                              config.temperature("c"))
+    lo, hi = 0.5 * expected, 3.0 * expected
+    try:
+        root = find_current_zero(config, which, (lo, hi))
+    except BracketError:
+        if config.system.g == 0.0:
+            raise
+        reject()  # a coupled device's root may leave the g = 0 bracket
+    radius = 1e-10 * hi / 2 * (1 + 1e-6)
+    below, at, above = (getattr(currents_at(config, t_w), f"j_{which}")
+                        for t_w in (root - radius, root, root + radius))
+    assert at == 0.0 or math.copysign(1.0, below) != math.copysign(1.0, above)
+    if config.system.g == 0.0:
+        assert root == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Sizes of the current_reports calls the analyses make."""
+    calls = []
+
+    def counting(points):
+        calls.append(len(points))
+        return current_reports(points)
+    monkeypatch.setattr(analysis, "current_reports", counting)
+    return calls
+
+
+def test_root_engine_calls(engine_calls):
+    find_current_zero(make_config(), "c", (1.0, 5.0))
+    assert engine_calls[0] == 2  # both bracket ends in one call
+    assert len(engine_calls) <= 14
+
+
+def test_thermometer_engine_calls(engine_calls):
+    measure_temperature(thermometer_config(0.7))
+    assert len(engine_calls) <= 12
+
+
+def reference_walk(config, t_w_max):
+    """The thermometer ladder with one solve per rung."""
+    lo = config.temperature("h")
+    f_lo = currents_at(config, lo).j_h
+    hi = lo
+    while True:
+        hi = hi * 1.1
+        if hi > t_w_max:
+            return None
+        f_hi = currents_at(config, hi).j_h
+        if f_lo == 0.0 or math.copysign(1.0, f_hi) != math.copysign(1.0,
+                                                                    f_lo):
+            return lo, f_lo, hi, f_hi
+        lo, f_lo = hi, f_hi
+
+
+@pytest.mark.parametrize("t_c, t_w_max", [
+    (0.95, 1e3),    # sign change on the second rung
+    (0.7655, 1e3),  # on the last rung of the first chunk
+    (0.75, 1e3),    # on the first rung of the second chunk
+    (0.62, 1e3),    # in the fourth chunk
+    (0.62, 10.0),   # ladder ends inside a chunk before the sign change
+    (0.55, 1e3),    # below the measurable range
+])
+def test_chunked_ladder_matches_the_scalar_walk(t_c, t_w_max):
+    config = thermometer_config(t_c)
+    expected = reference_walk(config, t_w_max)
+    if expected is None:
+        with pytest.raises(MeasurementRangeError,
+                           match=f"kept its sign up to Tw = {t_w_max:g}$"):
+            analysis._ladder_bracket(config, t_w_max)
+    else:
+        assert analysis._ladder_bracket(config, t_w_max) == expected
+
+
+@pytest.mark.parametrize("failing, fails", [
+    ((3.0, math.inf), False),  # rungs past the sign change at 2.8
+    ((1.5, 1.7), True),        # the rung at 1.61, before it
+])
+def test_ladder_raises_only_the_failures_it_reaches(monkeypatch, failing,
+                                                    fails):
+    """Rungs in the ``failing`` T_w range fail; the reading is unaffected
+    unless the walk reaches one of them."""
+    column = POINT_COLUMNS.index("temperature_w")
+
+    def with_failures(points):
+        return [SteadyStateError("injected")
+                if failing[0] < t_w < failing[1] else report
+                for t_w, report in zip(points[:, column],
+                                       current_reports(points))]
+    monkeypatch.setattr(analysis, "current_reports", with_failures)
+    if fails:
+        with pytest.raises(SteadyStateError, match="injected"):
+            measure_temperature(thermometer_config(0.7))
+    else:
+        reading = measure_temperature(thermometer_config(0.7))
+        assert reading.tw_star == pytest.approx(2.8, rel=1e-6)
 
 
 class TestThermometerAlgebra:

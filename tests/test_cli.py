@@ -63,6 +63,18 @@ class TestConfigLoading:
     def test_missing_file(self):
         assert main(["sweep", "--config", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("where, key", [
+        ("system", "g"), ("bath", "gamma"), ("bath", "temperature")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, config_path, capsys, where,
+                                       key, value):
+        """JSON NaN and Infinity parse; the model rejects them (exit 1)."""
+        bad = json.loads(json.dumps(FIG4))
+        record = bad["system"] if where == "system" else bad["baths"][0]
+        record[key] = value
+        assert main(["sweep", "--config", config_path(bad)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+
 
 class TestGridParsing:
     def test_grid(self):

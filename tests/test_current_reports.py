@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trithermal.model import (
+    POINT_COLUMNS,
     BathSpec,
     DeviceConfig,
     SystemParams,
@@ -170,11 +171,12 @@ def test_degenerate_message_keeps_the_null_space_dimension():
 
 
 def test_non_finite_generator_fails_alone():
-    """The model accepts a NaN gamma; the point fails with a typed error
-    instead of failing the stacked rank check of its neighbours."""
-    bad = device(0.8, 0.02, (1.0, 0.85, 2.0),
-                 gammas=(float("nan"), 0.008, 0.008))
-    first, failed, last = current_reports(stack_points([NORMAL, bad, NORMAL]))
+    """A NaN gamma, which the model rejects, written straight into a stacked
+    row: the point fails with a typed error instead of failing the stacked
+    rank check of its neighbours."""
+    points = stack_points([NORMAL, NORMAL, NORMAL])
+    points[1, POINT_COLUMNS.index("gamma_h")] = float("nan")
+    first, failed, last = current_reports(points)
     assert str(failed) == ("steady-state solve failed: generator has "
                            "non-finite entries")
     assert first == last == one(NORMAL)

@@ -35,6 +35,11 @@ class TestSystemParams:
         dict(omega_a=1.0, omega_b=-0.5),
         dict(omega_a=0.8, omega_b=1.0),   # ordering violated
         dict(omega_a=1.0, omega_b=0.8, g=-0.01),
+        dict(omega_a=1.0, omega_b=0.8, g=math.nan),
+        dict(omega_a=1.0, omega_b=0.8, g=math.inf),
+        dict(omega_a=math.inf, omega_b=0.8),
+        dict(omega_a=math.inf, omega_b=math.inf),
+        dict(omega_a=1.0, omega_b=math.nan),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -121,6 +126,14 @@ class TestConfig:
             BathSpec("x", 1.0, 0.01, 50.0)
         with pytest.raises(ConfigError):
             BathSpec("h", 1.0, 0.01, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["temperature", "gamma", "cutoff"])
+    def test_bath_rejects_non_finite(self, field, value):
+        fields = dict(temperature=1.0, gamma=0.01, cutoff=50.0)
+        fields[field] = value
+        with pytest.raises(ConfigError, match=f"bath h: {field} must be"):
+            BathSpec("h", **fields)
 
     def test_with_helpers(self):
         config = make_config()
