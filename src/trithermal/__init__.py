@@ -49,6 +49,7 @@ from .solver import (
 )
 from .observables import (
     CurrentReport,
+    CurrentResponse,
     UndefinedObservableError,
     carnot_cop,
     closed_form_currents,

@@ -11,13 +11,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import POINT_COLUMNS, ConfigError, DeviceConfig, stack_points, validate
-from .observables import CurrentReport, current_reports, current_scale
+from .observables import (
+    CurrentReport,
+    CurrentResponse,
+    current_reports,
+    current_scale,
+)
 
 #: |J_c| below this fraction of the current scale classifies as a valve point
 VALVE_TOLERANCE = 1e-9
 
-#: default relative step for finite-difference derivatives in T_w
-FD_STEP = 1e-5
+#: alpha_J is undefined where |dJ_w/dT_w| * max(1, T_w) falls below this
+#: fraction of the current scale; the value keeps the floor of central
+#: differences with step 1e-5 * max(1, T_w) and a 1e-12 bound on the
+#: work current's increment
+AMPLIFIER_RESPONSE_FLOOR = 5e-8
 
 #: thermometer ladder rungs solved per engine call; an engine call costs
 #: about as much as 15 more points in it
@@ -103,10 +111,15 @@ def _reports_at(row: np.ndarray, temperatures) -> list:
     """current_reports of the stacked points ``row`` with T_w set to each
     of the given temperatures, which the caller has checked, in one call;
     temperature-major order."""
+    return current_reports(_points_at(row, temperatures))
+
+
+def _points_at(row: np.ndarray, temperatures) -> np.ndarray:
+    """The stacked points ``row`` with T_w set to each temperature in turn."""
     stacked = np.repeat(row[None], len(temperatures), axis=0)
     stacked[:, :, POINT_COLUMNS.index("temperature_w")] = np.reshape(
         temperatures, (-1, 1))
-    return current_reports(stacked.reshape(-1, len(POINT_COLUMNS)))
+    return stacked.reshape(-1, len(POINT_COLUMNS))
 
 
 def find_current_zero(config: DeviceConfig, which: str,
@@ -286,22 +299,23 @@ def _ladder_bracket(config: DeviceConfig,
 
 
 def amplification_factor(config: DeviceConfig, t_w: float,
-                         step: float = FD_STEP) -> float:
+                         step: float | None = None) -> float:
     """|dJ_c / dJ_w| with respect to the control temperature.
 
-    Central finite differences with step h = step * max(1, T_w) on both
-    currents; the ratio of the increments is the amplification factor.
+    The ratio of the exact derivatives of both currents in T_w, from one
+    steady-state solve at t_w (see current_reports). ``step`` is accepted
+    and ignored, so that callers passing a finite-difference step still
+    work.
     """
-    h = step * max(1.0, t_w)
-    return _response_ratio(currents_at(config, t_w + h),
-                           currents_at(config, t_w - h))
+    moved = config.with_bath_temperature("w", t_w)
+    response, = current_reports(stack_points([moved]), tw_slopes=True)
+    return _response_ratio(_checked(response), t_w)
 
 
-def _response_ratio(upper: CurrentReport, lower: CurrentReport) -> float:
-    d_jc = upper.j_c - lower.j_c
-    d_jw = upper.j_w - lower.j_w
-    scale = current_scale(upper.j_h, upper.j_c, upper.j_w)
-    if abs(d_jw) < 1e-12 * scale:
+def _response_ratio(response: CurrentResponse, t_w: float) -> float:
+    report, d_jc, d_jw = response
+    scale = current_scale(report.j_h, report.j_c, report.j_w)
+    if abs(d_jw) * max(1.0, t_w) < AMPLIFIER_RESPONSE_FLOOR * scale:
         raise AmplifierUndefinedError("amplifier factor undefined here: "
                                       "work current does not respond to Tw")
     return abs(d_jc / d_jw)
@@ -327,61 +341,49 @@ def classify_function(report: CurrentReport) -> str:
     return "refrigerator" if report.j_c > 0 else "heater"
 
 
-def phase_map(config: DeviceConfig, tw_values, g_values,
-              fd_step: float = FD_STEP) -> list[PhasePoint]:
+def phase_map(config: DeviceConfig, tw_values,
+              g_values) -> list[PhasePoint]:
     """Evaluate currents, amplification and classification over a (T_w, g) grid.
 
     Points are emitted in row-major (T_w outer, g inner) order; per-point
-    failures are recorded on the point instead of aborting the map. Each
-    T_w row is one current_reports call: every g at T_w and T_w +- h.
+    failures are recorded on the point instead of aborting the map, and a
+    T_w the model rejects fails its row with the model's error. Every other
+    point, with the derivatives its amplification factor needs, comes from
+    one current_reports call.
     """
     validate(config)
     g_values = [float(g) for g in g_values]
-    row = stack_points(config.with_coupling(g) for g in g_values)
-    points = []
+    tw_values = [float(t_w) for t_w in tw_values]
+    rejections = []
     for t_w in tw_values:
-        t_w = float(t_w)
-        h = fd_step * max(1.0, t_w)
-        # a point fails with the first failure of its own report and then
-        # of amplification_factor's two, as the single-point calls meet them
-        stages = _row_reports(config, row, (t_w, t_w + h, t_w - h))
-        for g, (report, upper, lower) in zip(g_values, zip(*stages)):
-            failure = next((r for r in (report, upper, lower)
-                            if isinstance(r, Exception)), None)
-            if failure is not None:
-                points.append(PhasePoint(
-                    t_w=t_w, g=g, report=None, alpha_j=None,
-                    function_class="error", amplifier_class="error",
-                    error=str(failure)))
-                continue
-            try:
-                alpha = _response_ratio(upper, lower)
-                amp_class = "amplifier" if alpha > 1.0 else "contraction"
-            except AmplifierUndefinedError:
-                alpha, amp_class = None, "undefined"
-            points.append(PhasePoint(
-                t_w=t_w, g=g, report=report, alpha_j=alpha,
-                function_class=classify_function(report),
-                amplifier_class=amp_class))
-    return points
-
-
-def _row_reports(config: DeviceConfig, row: np.ndarray,
-                 temperatures) -> list[list]:
-    """current_reports of the stacked points ``row`` with T_w set to each
-    temperature in turn, in one call; a temperature the model rejects
-    fails every point with the model's error."""
-    checks = []
-    for t_w in temperatures:
         try:
             config.with_bath_temperature("w", t_w)
-            checks.append(None)
+            rejections.append(None)
         except ConfigError as exc:
-            checks.append(exc)
-    valid = [t_w for t_w, check in zip(temperatures, checks) if check is None]
-    reports = iter(_reports_at(row, valid))
-    return [[next(reports) for _ in row] if check is None
-            else [check] * len(row) for check in checks]
+            rejections.append(exc)
+    row = stack_points(config.with_coupling(g) for g in g_values)
+    responses = iter(current_reports(_points_at(
+        row, [t_w for t_w, rejection in zip(tw_values, rejections)
+              if rejection is None]), tw_slopes=True))
+    return [_phase_point(t_w, g, rejection or next(responses))
+            for t_w, rejection in zip(tw_values, rejections)
+            for g in g_values]
+
+
+def _phase_point(t_w: float, g: float,
+                 response: CurrentResponse | Exception) -> PhasePoint:
+    if isinstance(response, Exception):
+        return PhasePoint(t_w=t_w, g=g, report=None, alpha_j=None,
+                          function_class="error", amplifier_class="error",
+                          error=str(response))
+    try:
+        alpha = _response_ratio(response, t_w)
+        amp_class = "amplifier" if alpha > 1.0 else "contraction"
+    except AmplifierUndefinedError:
+        alpha, amp_class = None, "undefined"
+    return PhasePoint(t_w=t_w, g=g, report=response.report, alpha_j=alpha,
+                      function_class=classify_function(response.report),
+                      amplifier_class=amp_class)
 
 
 def phase_map_csv(points: list[PhasePoint], stream=None) -> str:

@@ -242,8 +242,7 @@ def cmd_phase_map(args) -> int:
     by_var = {g.variable: g for g in parsed}
     if set(by_var) != {"Tw", "g"} or len(parsed) != 2:
         raise _UsageError("phase-map needs exactly --grid Tw=... and --grid g=...")
-    points = phase_map(config, by_var["Tw"].values(), by_var["g"].values(),
-                       fd_step=args.step)
+    points = phase_map(config, by_var["Tw"].values(), by_var["g"].values())
     _emit(phase_map_csv(points), args.out)
     failures = sum(1 for p in points if p.function_class == "error")
     _summary(f"phase-map: {len(points)} point(s), {failures} failure(s)")
@@ -285,7 +284,8 @@ def build_parser() -> _Parser:
                        help="current amplification factor |dJc/dJw|")
     p.add_argument("--tw", type=float, required=True)
     p.add_argument("--step", type=float, default=1e-5,
-                   help="relative finite-difference step in Tw")
+                   help="accepted and ignored: alpha_J is the exact "
+                        "derivative; echoed in the fd_step column")
     p.set_defaults(func=cmd_amplifier)
 
     p = sub.add_parser("thermometer", parents=[common],
@@ -306,7 +306,9 @@ def build_parser() -> _Parser:
                        help="function and amplifier classes over (Tw, g)")
     p.add_argument("--grid", action="append", metavar="VAR=START:STOP:N",
                    required=True)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--step", type=float, default=1e-5,
+                   help="accepted and ignored: alpha_J is the exact "
+                        "derivative")
     p.set_defaults(func=cmd_phase_map)
     return parser
 

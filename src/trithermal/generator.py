@@ -41,7 +41,7 @@ from .model import (
     point_column,
     validate,
 )
-from .rates import RatePair, transition_rates
+from .rates import RatePair, rate_temperature_slope, transition_rates
 
 PARTIAL_SECULAR = "partial_secular"
 FULL_SECULAR = "full_secular"
@@ -306,6 +306,23 @@ def reduced_partial_secular(points: np.ndarray) -> ReducedGenerators:
         decay=(blocks[:, :, 25:].sum(axis=1)
                + 2j * np.array([eig.omega_2, eig.omega_3]).T),
         eig=eig, out_of_domain=out_of_domain)
+
+
+#: reduced work-bath dissipator per unit of each of its two rates
+_REDUCED_WORK_PER_RATE = _reduce_block(_work_bath_block(RatePair(1.0, 1.0)))
+
+
+def reduced_work_slope(points: np.ndarray, eig: EigenSystem) -> np.ndarray:
+    """Derivative in T_w of the reduced work-bath dissipator of stacked
+    device points, (N, 5, 5), with ``eig`` their eigensystem.
+
+    The work bath has one rate pair, at capital_omega with unit weight,
+    and both of its rates share one slope in the temperature.
+    """
+    bath = BathColumns(*(point_column(points, f"{field}_w")
+                         for field in BathColumns._fields))
+    slope = rate_temperature_slope(eig.capital_omega, bath)
+    return slope[:, None, None] * _REDUCED_WORK_PER_RATE
 
 
 def _lindblad_superop(jump: np.ndarray) -> np.ndarray:

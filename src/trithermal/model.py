@@ -122,6 +122,9 @@ class BathSpec:
             raise ConfigError(f"bath {self.label}: cutoff must be positive")
         _require_finite(self, ("temperature", "gamma", "cutoff"),
                         f"bath {self.label}: ")
+        if math.isinf(1.0 / self.temperature):
+            raise ConfigError(f"bath {self.label}: temperature too close to "
+                              "0: its inverse overflows")
 
 
 def _require_finite(record, fields: tuple[str, ...], where: str) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,10 @@ from .model import (
 )
 from .generator import (
     Generator,
+    ReducedGenerators,
     dissipator_apply,
     reduced_partial_secular,
+    reduced_work_slope,
     vectorize,
     _I11,
     _I22,
@@ -185,26 +188,37 @@ def cold_current_decomposition(config: DeviceConfig,
     return j_c12, j_c13
 
 
-def current_reports(points: np.ndarray) -> list[CurrentReport | Exception]:
+class CurrentResponse(NamedTuple):
+    """A current report with the derivatives of J_c and J_w in T_w."""
+
+    report: CurrentReport
+    d_jc: float
+    d_jw: float
+
+
+def current_reports(points: np.ndarray, tw_slopes: bool = False) -> list:
     """Current reports of the partial-secular steady states of stacked
     device points (rows laid out as model.POINT_COLUMNS).
 
     The report of ``steady_state_report(g, steady_state(g))`` with
     ``g = build_partial_secular(config)``, to roundoff, computed on the
     reduced generator BLOCK_POINTS points at a time. A point that fails
-    gets the exception the 9x9 path raises in place of its report.
+    gets the exception the 9x9 path raises in place of its report. With
+    ``tw_slopes``, each report comes as a CurrentResponse that adds the
+    exact derivatives of J_c and J_w in the work-bath temperature.
     """
     reports = []
     for start in range(0, len(points), BLOCK_POINTS):
-        reports += _block_reports(points[start:start + BLOCK_POINTS])
+        reports += _block_reports(points[start:start + BLOCK_POINTS],
+                                  tw_slopes)
     return reports
 
 
-def _block_reports(points: np.ndarray) -> list[CurrentReport | Exception]:
+def _block_reports(points: np.ndarray, tw_slopes: bool) -> list:
     generators = reduced_partial_secular(points)
     errors = [FrequencyDomainError("transition frequency must be non-negative")
               if out else None for out in generators.out_of_domain]
-    v, v_ext = reduced_steady_states(generators, errors)
+    v, v_ext, inverse = reduced_steady_states(generators, errors)
 
     # Tr[H_S D_mu(rho)] sums the energy-weighted population rows (E_1 = 0);
     # the two terms of the cold bath's sum are its 1<->2 and 1<->3 channels
@@ -235,7 +249,34 @@ def _block_reports(points: np.ndarray) -> list[CurrentReport | Exception]:
             coherence_abs=coherence, cop=_cop_or_none(jc, jw),
             carnot_cop=carnot,
             entropy_rate=entropy_production(jh, jc, jw, temperatures))
+    if tw_slopes:
+        slopes = _tw_slopes(points, generators, v, inverse).tolist()
+        reports = [report if isinstance(report, Exception)
+                   else CurrentResponse(report, *slope)
+                   for report, slope in zip(reports, slopes)]
     return reports
+
+
+def _tw_slopes(points: np.ndarray, generators: ReducedGenerators,
+               v: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """(dJ_c/dT_w, dJ_w/dT_w) of the stacked steady states v, (N, 2).
+
+    Implicit differentiation of the bordered system A v = e_1: only the
+    work-bath dissipator D_w depends on T_w and the trace row does not, so
+    dv = -A^-1 dA v, where dA is its derivative dD_w with row 0 set to 0;
+    ``inverse`` holds A^-1. The currents are energy-weighted population
+    rows, so dJ_c = E . D_c dv and dJ_w = E . (D_w dv + dD_w v).
+    """
+    d_work = reduced_work_slope(points, generators.eig)
+    d_work_v = d_work @ v[:, :, None]
+    d_bordered_v = d_work_v.copy()
+    d_bordered_v[:, 0] = 0.0
+    dv = -(inverse @ d_bordered_v)
+    # rows of the cold and work baths' flows, in BATH_LABELS order
+    flows = generators.dissipators[:, 1:] @ dv[:, None]
+    flows[:, 1] += d_work_v
+    energies = np.array([generators.eig.omega_2, generators.eig.omega_3]).T
+    return (flows[:, :, 1:3, 0] * energies[:, None, :]).sum(axis=2)
 
 
 def closed_form_currents(config: DeviceConfig,

@@ -82,6 +82,31 @@ def transition_rates(omega, bath: BathSpec | BathColumns) -> RatePair:
     return RatePair(down=down[()], up=up[()])
 
 
+def rate_temperature_slope(omega, bath: BathSpec | BathColumns):
+    """d up / dT of transition_rates at omega, which is also d down / dT,
+    because down - up = G(w) does not depend on T.
+
+    Each branch of transition_rates is differentiated as it stands: with
+    x = w / T and n' = -n (n + 1), G n(x) gives gamma e^(-w/wc) x^2 n (n + 1);
+    the series gamma e^(-w/wc) (T - w/2 + w^2 / (12 T)) gives
+    gamma e^(-w/wc) (1 - x^2 / 12). Where n underflows (T -> 0) the slope
+    is 0. Floats or arrays, as transition_rates.
+    """
+    omega = np.asarray(omega, dtype=float)
+    with np.errstate(over="ignore"):  # as T -> 0; see x_large below
+        x = omega / bath.temperature
+    damping = bath.gamma * np.exp(-omega / bath.cutoff)
+    small = x <= SMALL_FREQUENCY_FACTOR
+    # n is exactly 0 from x ~ 745 on, so capping x keeps x^2 n at 0 there
+    # even where x overflows
+    x_large = np.clip(x, SMALL_FREQUENCY_FACTOR, 1e3)
+    n = np.exp(-x_large) / -np.expm1(-x_large)
+    x_small = np.where(small, x, 0.0)
+    slope = damping * np.where(small, 1.0 - x_small * x_small / 12.0,
+                               x_large * x_large * n * (1.0 + n))
+    return slope[()]
+
+
 def dressed_rates(omega: float, bath: BathSpec,
                   eig: EigenSystem) -> tuple[RatePair, RatePair, RatePair]:
     """Bare rates weighted by the three eigenbasis overlap factors f1, f2, f3."""

@@ -88,8 +88,9 @@ def _bordered(L: np.ndarray) -> np.ndarray:
     return A
 
 
-def reduced_steady_states(generators: ReducedGenerators,
-                          errors: list) -> tuple[np.ndarray, np.ndarray]:
+def reduced_steady_states(
+        generators: ReducedGenerators,
+        errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steady states (p1, p2, p3, u, w) of stacked reduced generators.
 
     The steps of ``steady_state`` point by point: the rank check over the
@@ -101,9 +102,11 @@ def reduced_steady_states(generators: ReducedGenerators,
     share one inverse of each 5x5 bordered matrix.
 
     Returns the double-precision states and the polished extended ones,
-    (N, 5) each. Points whose entry in ``errors`` is set are skipped; a
-    point that fails here gets its SteadyStateError there. The states of
-    skipped and failed points are meaningless.
+    (N, 5) each, and the inverses of the bordered matrices, (N, 5, 5), for
+    the caller's further solves with them. Points whose entry in
+    ``errors`` is set are skipped; a point that fails here gets its
+    SteadyStateError there. The results of skipped and failed points are
+    meaningless.
     """
     L = generators.matrix
     skipped = np.array([error is not None for error in errors], dtype=bool)
@@ -135,7 +138,8 @@ def reduced_steady_states(generators: ReducedGenerators,
     except np.linalg.LinAlgError as exc:
         for i in np.flatnonzero(solvable):
             errors[i] = SteadyStateError(f"steady-state solve failed: {exc}")
-        return np.zeros((len(L), 5)), np.zeros((len(L), 5), _EXTENDED)
+        return (np.zeros((len(L), 5)), np.zeros((len(L), 5), _EXTENDED),
+                np.zeros_like(A))
     v = inverse[:, :, :1]
     v = v - inverse @ (A @ v - _UNIT_TRACE)
 
@@ -157,7 +161,7 @@ def reduced_steady_states(generators: ReducedGenerators,
     for _ in range(2):
         residual = (A_ext @ v_ext - _UNIT_TRACE).astype(float)
         v_ext -= (inverse @ residual).astype(_EXTENDED)
-    return v[:, :, 0], v_ext[:, :, 0]
+    return v[:, :, 0], v_ext[:, :, 0], inverse
 
 
 def default_timestep(generator: Generator) -> float:

@@ -17,6 +17,7 @@ from trithermal.model import (
     DeviceConfig,
     SystemParams,
 )
+from trithermal import solver
 from trithermal.generator import build_full_secular, build_partial_secular
 from trithermal.solver import (
     analytic_diagonal_steady_state,
@@ -168,6 +169,13 @@ def test_criterion_7_conservation_laws():
               "sum Jmu/Tmu <= 1e-12", ok,
            f"worst first law {worst_first_law:.2e}, "
            f"worst entropy rate {worst_entropy:.2e}")
+
+
+def test_criterion_7_without_extended_precision(monkeypatch):
+    """Criterion 7 where longdouble is plain double (Windows, macOS arm64):
+    the steady states are polished in float64."""
+    monkeypatch.setattr(solver, "_EXTENDED", np.float64)
+    test_criterion_7_conservation_laws()
 
 
 def test_criterion_8_diagonal_oracle():

@@ -2,19 +2,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 import trithermal.analysis as analysis
+import trithermal.observables as observables
 from trithermal.model import (
     POINT_COLUMNS,
     BathSpec,
     ConfigError,
     DeviceConfig,
     SystemParams,
+    stack_points,
 )
-from trithermal.observables import CurrentReport, current_reports
+from trithermal.observables import (
+    CurrentReport,
+    current_reports,
+    current_scale,
+)
+from trithermal.rates import SMALL_FREQUENCY_FACTOR
 from trithermal.solver import SteadyStateError
 from trithermal.analysis import (
+    AMPLIFIER_RESPONSE_FLOOR,
     AmplifierUndefinedError,
     BracketError,
     MeasurementRangeError,
@@ -134,9 +142,9 @@ def engine_calls(monkeypatch):
     """Sizes of the current_reports calls the analyses make."""
     calls = []
 
-    def counting(points):
+    def counting(points, **options):
         calls.append(len(points))
-        return current_reports(points)
+        return current_reports(points, **options)
     monkeypatch.setattr(analysis, "current_reports", counting)
     return calls
 
@@ -150,6 +158,19 @@ def test_root_engine_calls(engine_calls):
 def test_thermometer_engine_calls(engine_calls):
     measure_temperature(thermometer_config(0.7))
     assert len(engine_calls) <= 12
+
+
+def test_only_the_amplifier_takes_derivatives(monkeypatch):
+    """Grids, root finders and the thermometer do no derivative work."""
+    def forbidden(*args):
+        raise AssertionError("T_w derivatives taken")
+    monkeypatch.setattr(observables, "_tw_slopes", forbidden)
+    config = make_config()
+    current_reports(stack_points([config, config]))
+    find_current_zero(config, "c", (1.0, 5.0))
+    measure_temperature(thermometer_config(0.7))
+    with pytest.raises(AssertionError, match="derivatives taken"):
+        amplification_factor(config, 6.0)
 
 
 def reference_walk(config, t_w_max):
@@ -309,14 +330,19 @@ class TestPhaseMap:
         assert "degenerate" in points[0].error
 
     def test_rejected_temperatures_are_recorded(self):
-        """T_w <= 0 fails its row; a T_w - h <= 0 fails the amplification
-        step of a row whose own T_w is valid, with the model's message."""
-        points = phase_map(make_config(), [-1.0, 0.5, 3.6], [0.0, 0.02],
-                           fd_step=0.6)
-        assert [p.function_class for p in points[:4]] == ["error"] * 4
+        """T_w <= 0 fails its row with the model's message; the other rows
+        have their reports and amplification factors."""
+        points = phase_map(make_config(), [-1.0, 0.5, 3.6], [0.0, 0.02])
+        assert [p.function_class for p in points[:2]] == ["error"] * 2
         assert all(p.error == "bath w: temperature must be positive"
-                   for p in points[:4])
-        assert all(p.function_class != "error" for p in points[4:])
+                   for p in points[:2])
+        assert all(p.report is not None and p.alpha_j is not None
+                   for p in points[2:])
+
+    def test_one_engine_call(self, engine_calls):
+        """Every accepted (T_w, g) point, and no other, in one call."""
+        phase_map(make_config(), [-1.0, 0.5, 0.0, 3.6], [0.0, 0.02, 0.05])
+        assert engine_calls == [2 * 3]
 
     def test_points_match_the_single_point_functions(self):
         config = make_config()
@@ -341,3 +367,88 @@ def test_classify_valve_band():
                            j_c13=0.0, coherence_abs=0.0, cop=None,
                            carnot_cop=1.0, entropy_rate=-1.0)
     assert classify_function(report) == "valve"
+
+
+def central_differences(config, t_w, h):
+    """(dJ_c/dT_w, dJ_w/dT_w) by central differences of currents_at."""
+    upper, lower = currents_at(config, t_w + h), currents_at(config, t_w - h)
+    return (upper.j_c - lower.j_c) / (2 * h), (upper.j_w - lower.j_w) / (2 * h)
+
+
+def exact_slopes(config, t_w):
+    response, = current_reports(
+        stack_points([config.with_bath_temperature("w", t_w)]),
+        tw_slopes=True)
+    return response
+
+
+def assert_matches_central_differences(config, t_w, rel=1e-6):
+    """The exact derivatives and alpha_J against central differences with
+    the step the finite-difference alpha_J used, and with half of it."""
+    response = exact_slopes(config, t_w)
+    alpha = amplification_factor(config, t_w)
+    h = 1e-5 * max(1.0, t_w)
+    for step in (h, h / 2):
+        d_jc, d_jw = central_differences(config, t_w, step)
+        assert response.d_jc == pytest.approx(d_jc, rel=rel, abs=0)
+        assert response.d_jw == pytest.approx(d_jw, rel=rel, abs=0)
+        assert alpha == pytest.approx(abs(d_jc / d_jw), rel=rel, abs=0)
+
+
+# criterion 10's two devices, and the points of the TestPhaseMap grids
+@pytest.mark.parametrize("g, t_w", [
+    (0.05, 6.0), (0.2, 6.0),
+    (0.02, 3.4), (0.02, 3.6), (0.0, 3.0), (0.05, 3.0), (0.0, 4.0),
+    (0.05, 4.0), (0.2, 3.0), (0.0, 6.0), (0.0, 0.5), (0.02, 0.5),
+])
+def test_exact_derivative_matches_central_differences(g, t_w):
+    assert_matches_central_differences(make_config(g=g), t_w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operating_devices(st.just(0.0) | st.floats(0.0, 0.2)),
+       st.floats(0.5, 8.0))
+def test_exact_derivative_over_the_operating_range(config, t_w):
+    """Devices and T_w in the benchmark's range, away from the floor
+    below which alpha_J is undefined, where central differences lose
+    their digits."""
+    response = exact_slopes(config, t_w)
+    report = response.report
+    floor = 1e3 * AMPLIFIER_RESPONSE_FLOOR * current_scale(
+        report.j_h, report.j_c, report.j_w)
+    assume(min(abs(response.d_jc), abs(response.d_jw)) * max(1.0, t_w)
+           >= floor)
+    assert_matches_central_differences(config, t_w)
+
+
+@pytest.mark.parametrize("omega_b, t_w", [
+    (0.8, 0.5), (0.8, 6.0), (0.6, 2.0), (0.95, 20.0), (0.5, 100.0)])
+def test_uncoupled_factor_is_exactly_the_frequency_ratio(omega_b, t_w):
+    config = make_config(omega_b=omega_b, g=0.0)
+    assert amplification_factor(config, t_w) == pytest.approx(
+        omega_b / (1.0 - omega_b), rel=1e-12, abs=0)
+
+
+def test_exact_derivative_in_the_series_branch():
+    """Nearly degenerate excited levels put the work bath's frequency below
+    the rates' small-frequency switch, at T_w and at T_w +- h."""
+    config = make_config(omega_b=1.0 - 1e-7, g=0.0)
+    t_w = 1.0
+    assert 1e-7 / (t_w - 1e-5) <= SMALL_FREQUENCY_FACTOR
+    response = exact_slopes(config, t_w)
+    for step in (1e-5, 5e-6):
+        d_jc, d_jw = central_differences(config, t_w, step)
+        assert response.d_jc == pytest.approx(d_jc, rel=1e-6, abs=0)
+        assert response.d_jw == pytest.approx(d_jw, rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("t_w", [1e-3, 1e-300])
+def test_amplifier_undefined_as_work_temperature_vanishes(t_w):
+    """The work bath's rates underflow: alpha_J is undefined, not NaN."""
+    config = make_config()
+    response = exact_slopes(config, t_w)
+    assert math.isfinite(response.d_jc) and math.isfinite(response.d_jw)
+    with pytest.raises(AmplifierUndefinedError):
+        amplification_factor(config, t_w)
+    point, = phase_map(config, [t_w], [config.system.g])
+    assert (point.alpha_j, point.amplifier_class) == (None, "undefined")

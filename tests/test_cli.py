@@ -184,6 +184,22 @@ def test_amplifier(config_path, capsys):
     assert "(amplifier)" in captured.err
 
 
+def test_step_is_accepted_with_no_effect(config_path, capsys):
+    """alpha_J is the exact derivative; --step is only echoed."""
+    path = config_path(FIG4)
+    outputs = []
+    for step in ([], ["--step", "0.3"]):
+        assert main(["amplifier", "--config", path, "--tw", "6"] + step) == 0
+        assert main(["phase-map", "--config", path, "--grid", "Tw=3:6:2",
+                     "--grid", "g=0:0.2:2"] + step) == 0
+        outputs.append(capsys.readouterr().out.split("\n"))
+    default, stepped = outputs
+    assert default[0] == stepped[0] == "Tw,g,alpha_j,fd_step"
+    assert default[1].rsplit(",", 1)[0] == stepped[1].rsplit(",", 1)[0]
+    assert stepped[1].endswith(",0.29999999999999999")
+    assert default[2:] == stepped[2:]
+
+
 def test_thermometer(config_path, capsys):
     path = config_path(THERMOMETER)
     assert main(["thermometer", "--config", path]) == 0

@@ -121,7 +121,7 @@ def test_uncoupled_device_matches_the_closed_form(config):
     analytic = analytic_diagonal_steady_state(config)
     oracle = uncoupled_currents(config, analytic)
     errors = [None]
-    states, _ = reduced_steady_states(
+    states, _, _ = reduced_steady_states(
         reduced_partial_secular(stack_points([config])), errors)
     assert errors == [None]
     assert np.max(np.abs(states[0, :3] - analytic.populations)) < 1e-10

@@ -135,6 +135,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"bath h: {field} must be"):
             BathSpec("h", **fields)
 
+    @pytest.mark.parametrize("temperature", [5e-324, 5e-309])
+    def test_bath_rejects_a_temperature_without_an_inverse(self, temperature):
+        with pytest.raises(ConfigError, match="bath c: temperature too close"):
+            BathSpec("c", temperature, 0.01, 50.0)
+        assert BathSpec("c", 6e-309, 0.01, 50.0).temperature == 6e-309
+
     def test_with_helpers(self):
         config = make_config()
         moved = config.with_bath_temperature("w", 3.0)

@@ -11,6 +11,7 @@ from trithermal.rates import (
     bose_occupation,
     dressed_rates,
     ohmic_spectral_density,
+    rate_temperature_slope,
     transition_rates,
 )
 
@@ -120,6 +121,50 @@ def test_up_rate_increases_with_temperature(temperature):
     hotter = BathSpec("h", temperature * 1.5, 0.008, 50.0)
     cooler = BathSpec("h", temperature, 0.008, 50.0)
     assert transition_rates(1.0, hotter).up > transition_rates(1.0, cooler).up
+
+
+def central_difference(omega, bath, h):
+    """(up(T + h) - up(T - h)) / 2h of transition_rates."""
+    upper, lower = (transition_rates(omega, BathSpec(
+        bath.label, bath.temperature + s, bath.gamma, bath.cutoff)).up
+        for s in (h, -h))
+    return (upper - lower) / (2.0 * h)
+
+
+@given(frequencies, temperatures, st.floats(0.001, 0.02),
+       st.floats(10.0, 100.0))
+def test_temperature_slope_matches_finite_differences(omega, temperature,
+                                                      gamma, cutoff):
+    bath = BathSpec("w", temperature, gamma, cutoff)
+    slope = rate_temperature_slope(omega, bath)
+    assert slope >= 0.0
+    for h in (1e-5 * temperature, 5e-6 * temperature):
+        # the rounding error of each rate is ~1e-16 of gamma * T
+        assert slope == pytest.approx(central_difference(omega, bath, h),
+                                      rel=1e-6, abs=1e-10 * gamma)
+
+
+def test_temperature_slope_in_the_series_branch():
+    """Below the small-frequency switch the slope is that of the series."""
+    omega = 0.5 * SMALL_FREQUENCY_FACTOR * BATH.temperature
+    h = 1e-5 * BATH.temperature
+    assert omega / (BATH.temperature - h) <= SMALL_FREQUENCY_FACTOR
+    assert rate_temperature_slope(omega, BATH) == pytest.approx(
+        central_difference(omega, BATH, h), rel=1e-9)
+
+
+@pytest.mark.parametrize("temperature", [1e-3, 1e-300, 1.0 / 1.7e308])
+def test_temperature_slope_vanishes_as_absorption_underflows(temperature):
+    bath = BathSpec("w", temperature, 0.008, 50.0)
+    assert rate_temperature_slope(np.array([0.2, 1.0, 2.0]), bath).tolist() \
+        == pytest.approx([0.0, 0.0, 0.0], abs=1e-80)
+
+
+def test_temperature_slope_arrays_match_scalars():
+    omega = np.array([0.0, 1e-8, 0.2, 1.0, 800.0])
+    slopes = rate_temperature_slope(omega, BATH)
+    assert slopes.tolist() == [rate_temperature_slope(w, BATH)
+                               for w in omega.tolist()]
 
 
 def test_scaled():
