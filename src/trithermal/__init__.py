@@ -50,11 +50,13 @@ from .solver import (
 from .observables import (
     CurrentReport,
     CurrentResponse,
+    CurrentTable,
     UndefinedObservableError,
     carnot_cop,
     closed_form_currents,
     cop_and_bounds,
     current_reports,
+    current_table,
     effective_temperatures,
     entropy_production,
     heat_current_trace,

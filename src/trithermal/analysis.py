@@ -14,6 +14,7 @@ from .model import POINT_COLUMNS, ConfigError, DeviceConfig, stack_points, valid
 from .observables import (
     CurrentReport,
     CurrentResponse,
+    csv_fields,
     current_reports,
     current_scale,
 )
@@ -134,18 +135,30 @@ def find_current_zero(config: DeviceConfig, which: str,
     change is assumed; callers narrow the bracket if several roots are
     expected.
     """
+    return _current_zero(config, which, bracket, rel_tol)[0]
+
+
+def _current_zero(config: DeviceConfig, which: str,
+                  bracket: tuple[float, float],
+                  rel_tol: float = 1e-10) -> tuple[float, CurrentReport]:
+    """find_current_zero's T_w, and the current report there that the
+    search has solved."""
     validate(config)
     if which not in ("h", "c", "w"):
         raise ConfigError(f"unknown current selector {which!r}")
     lo, hi = bracket
     if not 0 < lo < hi < math.inf:
         raise ConfigError("bracket must satisfy 0 < lo < hi < inf")
-    f_lo, f_hi = (getattr(_checked(report), f"j_{which}")
-                  for report in _reports_at(stack_points([config]),
-                                            (lo, hi)))
-    return _zero_in_bracket(
-        lambda t_w: getattr(currents_at(config, t_w), f"j_{which}"),
-        which, lo, f_lo, hi, f_hi, rel_tol)
+    field = f"j_{which}"
+    reports = {t_w: _checked(report) for t_w, report in
+               zip((lo, hi), _reports_at(stack_points([config]), (lo, hi)))}
+
+    def current(t_w: float) -> float:
+        reports[t_w] = currents_at(config, t_w)
+        return getattr(reports[t_w], field)
+    t_w = _zero_in_bracket(current, which, lo, getattr(reports[lo], field),
+                           hi, getattr(reports[hi], field), rel_tol)
+    return t_w, reports[t_w]
 
 
 def _zero_in_bracket(current, which: str, lo: float, f_lo: float, hi: float,
@@ -312,9 +325,12 @@ def amplification_factor(config: DeviceConfig, t_w: float,
     return _response_ratio(_checked(response), t_w)
 
 
-def _response_ratio(response: CurrentResponse, t_w: float) -> float:
+def _response_ratio(response: CurrentResponse, t_w: float,
+                    scale: float | None = None) -> float:
+    """|d_jc / d_jw|; ``scale`` is the report's current_scale, if known."""
     report, d_jc, d_jw = response
-    scale = current_scale(report.j_h, report.j_c, report.j_w)
+    if scale is None:
+        scale = current_scale(report.j_h, report.j_c, report.j_w)
     if abs(d_jw) * max(1.0, t_w) < AMPLIFIER_RESPONSE_FLOOR * scale:
         raise AmplifierUndefinedError("amplifier factor undefined here: "
                                       "work current does not respond to Tw")
@@ -334,8 +350,12 @@ class PhasePoint:
     error: str = ""
 
 
-def classify_function(report: CurrentReport) -> str:
-    scale = current_scale(report.j_h, report.j_c, report.j_w)
+def classify_function(report: CurrentReport,
+                      scale: float | None = None) -> str:
+    """Valve, refrigerator or heater; ``scale`` is the report's
+    current_scale, if known."""
+    if scale is None:
+        scale = current_scale(report.j_h, report.j_c, report.j_w)
     if abs(report.j_c) < VALVE_TOLERANCE * scale:
         return "valve"
     return "refrigerator" if report.j_c > 0 else "heater"
@@ -376,13 +396,15 @@ def _phase_point(t_w: float, g: float,
         return PhasePoint(t_w=t_w, g=g, report=None, alpha_j=None,
                           function_class="error", amplifier_class="error",
                           error=str(response))
+    report = response.report
+    scale = current_scale(report.j_h, report.j_c, report.j_w)
     try:
-        alpha = _response_ratio(response, t_w)
+        alpha = _response_ratio(response, t_w, scale)
         amp_class = "amplifier" if alpha > 1.0 else "contraction"
     except AmplifierUndefinedError:
         alpha, amp_class = None, "undefined"
-    return PhasePoint(t_w=t_w, g=g, report=response.report, alpha_j=alpha,
-                      function_class=classify_function(response.report),
+    return PhasePoint(t_w=t_w, g=g, report=report, alpha_j=alpha,
+                      function_class=classify_function(report, scale),
                       amplifier_class=amp_class)
 
 
@@ -393,11 +415,16 @@ def phase_map_csv(points: list[PhasePoint], stream=None) -> str:
     writer.writerow(list(CurrentReport.CSV_COLUMNS)
                     + ["alpha_j", "function_class", "amplifier_class", "error"])
     for p in points:
+        alpha = "" if p.alpha_j is None else f"{p.alpha_j:.17g}"
+        if p.report is not None and not p.error:
+            # numbers and the bare-word classes need no quoting
+            buffer.write(f"{csv_fields(p.t_w, p.g, p.report.values())},"
+                         f"{alpha},{p.function_class},{p.amplifier_class},\n")
+            continue
         if p.report is None:
             row = [f"{p.t_w:.17g}", f"{p.g:.17g}"] + [""] * 9
         else:
             row = p.report.csv_row(p.t_w, p.g)
-        alpha = "" if p.alpha_j is None else f"{p.alpha_j:.17g}"
         writer.writerow(row + [alpha, p.function_class, p.amplifier_class,
                                p.error])
     text = buffer.getvalue()

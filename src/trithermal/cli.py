@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -21,7 +24,7 @@ import numpy as np
 from .model import BARE, EIGEN, BathSpec, ConfigError, DensityMatrix, DeviceConfig, SystemParams, point_column, stack_points, validate
 from .generator import build_full_secular, build_partial_secular
 from .solver import SteadyStateError, StepSizeError, default_timestep, evolve, trajectory_csv
-from .observables import CurrentReport, UndefinedObservableError, current_reports
+from .observables import CurrentReport, UndefinedObservableError, csv_fields, current_table
 from .analysis import (
     AmplifierUndefinedError,
     BracketError,
@@ -33,6 +36,7 @@ from .analysis import (
     measure_temperature,
     phase_map,
     phase_map_csv,
+    _current_zero,
 )
 
 _NUMERICAL_ERRORS = (SteadyStateError, StepSizeError, BracketError,
@@ -120,28 +124,37 @@ def _grid_points(config: DeviceConfig, grids: list[SweepGrid]) -> np.ndarray:
     return points
 
 
-def _sweep_csv(coordinates, results) -> tuple[str, int]:
-    """CSV of (T_w, g) coordinates and their CurrentReport or failure."""
+def _sweep_csv(coordinates, values, errors) -> tuple[str, int]:
+    """CSV of (T_w, g) coordinates and their report values (rows of a
+    CurrentTable) or failures."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(CurrentReport.CSV_COLUMNS) + ["status"])
     failures = 0
-    for (t_w, g), result in zip(coordinates, results):
-        if isinstance(result, Exception):
+    for (t_w, g), row, error in zip(coordinates, values, errors):
+        if error is None:
+            buffer.write(csv_fields(t_w, g, row) + ",ok\n")
+        else:
             failures += 1
             writer.writerow([f"{t_w:.17g}", f"{g:.17g}"] + [""] * 9
-                            + [str(result)])
-        else:
-            writer.writerow(result.csv_row(t_w, g) + ["ok"])
+                            + [str(error)])
     return buffer.getvalue(), failures
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        return
+    # Overwrite in place, then cut a regular file to length. Truncating to
+    # zero first (mode "w") makes ext4 flush the new data on close, and the
+    # truncate waits on the disk while the previous write is still being
+    # flushed: a request that rewrites its --out file pays the disk's
+    # latency, which varies from one moment to the next.
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as handle:
+        handle.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
 
 
 def _summary(message: str) -> None:
@@ -154,7 +167,9 @@ def cmd_sweep(args) -> int:
     points = _grid_points(config, grids)
     coordinates = zip(point_column(points, "temperature_w").tolist(),
                       point_column(points, "g").tolist())
-    text, failures = _sweep_csv(coordinates, current_reports(points))
+    table = current_table(points)
+    text, failures = _sweep_csv(coordinates, table.values.tolist(),
+                                table.errors)
     _emit(text, args.out)
     _summary(f"sweep: {len(points)} point(s), {failures} failure(s)")
     return 2 if failures else 0
@@ -163,9 +178,8 @@ def cmd_sweep(args) -> int:
 def cmd_valve(args) -> int:
     config = load_config(args.config)
     bracket = parse_bracket(args.bracket)
-    t_w = find_current_zero(config, args.which, bracket)
-    report = currents_at(config, t_w)
-    text, _ = _sweep_csv([(t_w, config.system.g)], [report])
+    t_w, report = _current_zero(config, args.which, bracket)
+    text, _ = _sweep_csv([(t_w, config.system.g)], [report.values()], [None])
     _emit(text, args.out)
     _summary(f"valve: J_{args.which} = 0 at Tw = {t_w:.12g}")
     return 0
@@ -178,7 +192,8 @@ def cmd_refrigerator(args) -> int:
     # COP at the onset is a 0/0 limit; probe just inside the cooling window
     probe = onset * (1.0 + 1e-6)
     report = currents_at(config, probe)
-    text, _ = _sweep_csv([(probe, config.system.g)], [report])
+    text, _ = _sweep_csv([(probe, config.system.g)], [report.values()],
+                         [None])
     _emit(text, args.out)
     cop = "undefined" if report.cop is None else f"{report.cop:.12g}"
     _summary(f"refrigerator: cooling window opens at Tw = {onset:.12g}, "
@@ -313,10 +328,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser(), built on first use rather than at import, and then
+    reused: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (_UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

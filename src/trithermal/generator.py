@@ -288,7 +288,7 @@ def reduced_partial_secular(points: np.ndarray) -> ReducedGenerators:
                       point_column(points, "omega_b"),
                       point_column(points, "g"))
     out_of_domain = eig.omega_2 < 0
-    if out_of_domain.any():
+    if np.count_nonzero(out_of_domain):
         eig = replace(eig, omega_2=np.where(out_of_domain, 0.0, eig.omega_2))
     channels = [_channel_weights(eig, label) for label in BATH_LABELS]
     frequencies = np.array([f for group, _ in channels for f in group])

@@ -161,11 +161,14 @@ class DeviceConfig:
         return self.bath(label).temperature
 
     def with_bath_temperature(self, label: str, temperature: float) -> "DeviceConfig":
+        # the constructors, as dataclasses.replace calls them, at a third
+        # of its cost: a root search moves T_w once per step
         baths = tuple(
-            replace(b, temperature=temperature) if b.label == label else b
+            BathSpec(b.label, temperature, b.gamma, b.cutoff)
+            if b.label == label else b
             for b in self.baths
         )
-        return replace(self, baths=baths)
+        return DeviceConfig(self.system, baths)
 
     def with_coupling(self, g: float) -> "DeviceConfig":
         return replace(self, system=replace(self.system, g=g))

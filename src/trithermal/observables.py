@@ -16,11 +16,11 @@ import numpy as np
 
 from .model import (
     BARE,
+    POINT_COLUMNS,
     ConfigError,
     DensityMatrix,
     DeviceConfig,
     diagonalize,
-    point_column,
     validate,
 )
 from .generator import (
@@ -76,11 +76,33 @@ class CurrentReport:
     CSV_COLUMNS = ("Tw", "g", "j_h", "j_c", "j_w", "j_c12", "j_c13",
                    "coherence_abs", "cop", "carnot_cop", "entropy_rate")
 
+    def values(self) -> tuple[float, ...]:
+        """The fields in order, as a row of a CurrentTable: NaN for an
+        undefined COP."""
+        return (self.j_h, self.j_c, self.j_w, self.j_c12, self.j_c13,
+                self.coherence_abs, math.nan if self.cop is None else self.cop,
+                self.carnot_cop, self.entropy_rate)
+
     def csv_row(self, t_w: float, g: float) -> list[str]:
-        values = (t_w, g, self.j_h, self.j_c, self.j_w, self.j_c12,
-                  self.j_c13, self.coherence_abs, self.cop, self.carnot_cop,
-                  self.entropy_rate)
-        return ["" if v is None else f"{v:.17g}" for v in values]
+        return csv_fields(t_w, g, self.values()).split(",")
+
+
+#: columns of CurrentReport.values() and of a CurrentTable's values
+_J_H, _J_C, _J_W, _J_C12, _J_C13, _COHERENCE, _COP, _CARNOT, _ENTROPY = range(9)
+
+# CSV_COLUMNS as text, 17 significant digits each; the second leaves the
+# cop field empty
+_CSV_FIELDS = ",".join(["%.17g"] * 11)
+_CSV_FIELDS_NO_COP = ",".join(["%.17g"] * 8 + [""] + ["%.17g"] * 2)
+
+
+def csv_fields(t_w: float, g: float, values) -> str:
+    """The comma-joined CSV_COLUMNS fields of a point at (t_w, g) with the
+    report ``values`` (a row of a CurrentTable). No field needs quoting."""
+    if math.isnan(values[_COP]):
+        return _CSV_FIELDS_NO_COP % (t_w, g, *values[:_COP],
+                                     *values[_COP + 1:])
+    return _CSV_FIELDS % (t_w, g, *values)
 
 
 def current_scale(j_h: float, j_c: float, j_w: float) -> float:
@@ -196,25 +218,79 @@ class CurrentResponse(NamedTuple):
     d_jw: float
 
 
-def current_reports(points: np.ndarray, tw_slopes: bool = False) -> list:
-    """Current reports of the partial-secular steady states of stacked
-    device points (rows laid out as model.POINT_COLUMNS).
+class CurrentTable(NamedTuple):
+    """Current reports of stacked device points as columns.
 
-    The report of ``steady_state_report(g, steady_state(g))`` with
-    ``g = build_partial_secular(config)``, to roundoff, computed on the
-    reduced generator BLOCK_POINTS points at a time. A point that fails
-    gets the exception the 9x9 path raises in place of its report. With
-    ``tw_slopes``, each report comes as a CurrentResponse that adds the
+    ``values`` is (N, 9), in CurrentReport field order, with NaN in the cop
+    column where the COP is undefined. ``errors`` holds, per point, None
+    or the exception raised in place of its report; the values of a failed
+    point are meaningless. With T_w slopes, ``slopes`` is (N, 2): the
     exact derivatives of J_c and J_w in the work-bath temperature.
     """
-    reports = []
-    for start in range(0, len(points), BLOCK_POINTS):
-        reports += _block_reports(points[start:start + BLOCK_POINTS],
-                                  tw_slopes)
-    return reports
+
+    values: np.ndarray
+    errors: list
+    slopes: np.ndarray | None
+
+    def reports(self) -> list:
+        """current_reports' list: a CurrentReport, or a CurrentResponse
+        with slopes, per point, or its exception."""
+        reports = []
+        for row, error in zip(self.values.tolist(), self.errors):
+            if error is not None:
+                reports.append(error)
+                continue
+            if math.isnan(row[_COP]):
+                row[_COP] = None
+            reports.append(CurrentReport(*row))
+        if self.slopes is not None:
+            reports = [report if isinstance(report, Exception)
+                       else CurrentResponse(report, *slope)
+                       for report, slope in zip(reports,
+                                                self.slopes.tolist())]
+        return reports
 
 
-def _block_reports(points: np.ndarray, tw_slopes: bool) -> list:
+#: slice of the T_h, T_c and T_w columns of stacked device points
+_TEMPERATURES = slice(POINT_COLUMNS.index("temperature_h"), None, 3)
+
+
+def current_table(points: np.ndarray, tw_slopes: bool = False) -> CurrentTable:
+    """Current reports of the partial-secular steady states of stacked
+    device points (rows laid out as model.POINT_COLUMNS), as columns.
+
+    Row i holds the report of ``steady_state_report(g, steady_state(g))``
+    with ``g = build_partial_secular(config_i)``, to roundoff, computed on
+    the reduced generator BLOCK_POINTS points at a time. A point that
+    fails gets the exception the 9x9 path raises as its error.
+    """
+    n = len(points)
+    table = CurrentTable(np.empty((n, 9)), [],
+                         np.empty((n, 2)) if tw_slopes else None)
+    for start in range(0, n, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        table.errors.extend(_block_table(
+            points[block], table.values[block],
+            None if table.slopes is None else table.slopes[block]))
+    return table
+
+
+def current_reports(points: np.ndarray, tw_slopes: bool = False) -> list:
+    """Per point, the CurrentReport of ``current_table(points)``, or the
+    exception in its place. With ``tw_slopes``, each report comes as a
+    CurrentResponse that adds the exact derivatives of J_c and J_w in the
+    work-bath temperature."""
+    return current_table(points, tw_slopes).reports()
+
+
+def _block_table(points: np.ndarray, values: np.ndarray,
+                 slopes: np.ndarray | None) -> list:
+    """Fill ``values`` (and ``slopes``) of one block of points; returns
+    the block's per-point errors.
+
+    Every column is computed in the float64 operations, and their order,
+    of the scalar carnot_cop, _cop_or_none and entropy_production.
+    """
     generators = reduced_partial_secular(points)
     errors = [FrequencyDomainError("transition frequency must be non-negative")
               if out else None for out in generators.out_of_domain]
@@ -226,35 +302,38 @@ def _block_reports(points: np.ndarray, tw_slopes: bool) -> list:
     energies = np.array([eig.omega_2, eig.omega_3], dtype=v_ext.dtype).T
     terms = ((generators.dissipators[:, :, 1:3].astype(v_ext.dtype)
               @ v_ext[:, None, :, None])[..., 0] * energies[:, None, :])
-    j_h, j_c, j_w = terms.sum(axis=2).astype(float).T
-    j_c12, j_c13 = terms[:, 1].astype(float).T
+    currents = values[:, :_J_C12]
+    currents[:] = terms.sum(axis=2)
+    values[:, _J_C12:_COHERENCE] = terms[:, 1]
+    values[:, _COHERENCE] = np.hypot(v[:, 3], v[:, 4])
+    if any(errors):
+        # NaN, unlike inf, raises no floating-point warning below
+        currents[[error is not None for error in errors]] = math.nan
 
-    reports = list(errors)
-    columns = zip(j_h.tolist(), j_c.tolist(), j_w.tolist(), j_c12.tolist(),
-                  j_c13.tolist(), np.hypot(v[:, 3], v[:, 4]).tolist(),
-                  *(point_column(points, f"temperature_{label}").tolist()
-                    for label in "hcw"))
-    for i, (jh, jc, jw, jc12, jc13, coherence, t_h, t_c,
-            t_w) in enumerate(columns):
-        if errors[i] is not None:
-            continue
-        temperatures = {"h": t_h, "c": t_c, "w": t_w}
-        try:
-            carnot = carnot_cop(temperatures)
-        except UndefinedObservableError as exc:
-            reports[i] = exc
-            continue
-        reports[i] = CurrentReport(
-            j_h=jh, j_c=jc, j_w=jw, j_c12=jc12, j_c13=jc13,
-            coherence_abs=coherence, cop=_cop_or_none(jc, jw),
-            carnot_cop=carnot,
-            entropy_rate=entropy_production(jh, jc, jw, temperatures))
-    if tw_slopes:
-        slopes = _tw_slopes(points, generators, v, inverse).tolist()
-        reports = [report if isinstance(report, Exception)
-                   else CurrentResponse(report, *slope)
-                   for report, slope in zip(reports, slopes)]
-    return reports
+    j_c, j_w = currents[:, _J_C], currents[:, _J_W]
+    abs_w = np.abs(j_w)
+    floor = COP_CURRENT_FLOOR * np.maximum(np.maximum(np.abs(j_c), abs_w),
+                                           1e-300)
+    values[:, _COP] = j_c / np.where(abs_w > floor, j_w, math.nan)
+
+    temperatures = points[:, _TEMPERATURES]
+    beta = 1.0 / temperatures
+    gap = beta[:, 1] - beta[:, 0]
+    if np.count_nonzero(gap) < len(gap):
+        undefined = gap == 0.0
+        for i in np.flatnonzero(undefined):
+            if errors[i] is None:
+                errors[i] = UndefinedObservableError(
+                    "Carnot bound undefined at Tc = Th")
+        gap[undefined] = math.nan
+    # Python floats overflow to inf without a word; so do these
+    with np.errstate(over="ignore"):
+        values[:, _CARNOT] = (beta[:, 0] - beta[:, 2]) / gap
+        flows = currents / temperatures
+        values[:, _ENTROPY] = flows[:, 0] + flows[:, 1] + flows[:, 2]
+    if slopes is not None:
+        slopes[:] = _tw_slopes(points, generators, v, inverse)
+    return errors
 
 
 def _tw_slopes(points: np.ndarray, generators: ReducedGenerators,

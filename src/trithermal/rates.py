@@ -61,7 +61,7 @@ def transition_rates(omega, bath: BathSpec | BathColumns) -> RatePair:
     holds arrays.
     """
     omega = np.asarray(omega, dtype=float)
-    if (omega < 0).any():
+    if np.count_nonzero(omega < 0):
         raise FrequencyDomainError("transition frequency must be non-negative")
     T = bath.temperature
     x = omega / T
@@ -70,7 +70,7 @@ def transition_rates(omega, bath: BathSpec | BathColumns) -> RatePair:
     # G(w) n(w) = G(w) e^-x / (1 - e^-x), which tends to 0 instead of
     # overflowing as x grows
     small = x <= SMALL_FREQUENCY_FACTOR
-    any_small = small.any()
+    any_small = np.count_nonzero(small)
     minus_x = np.where(small, -1.0, -x) if any_small else -x
     up = spectral * np.exp(minus_x) / -np.expm1(minus_x)
     if any_small:

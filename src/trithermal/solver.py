@@ -109,13 +109,15 @@ def reduced_steady_states(
     meaningless.
     """
     L = generators.matrix
-    skipped = np.array([error is not None for error in errors], dtype=bool)
     finite = np.isfinite(L).all(axis=(1, 2))
     # one stacked factorization fails as a whole on one singular matrix, so
     # points are masked before it; the 9x9 spectrum is that of the closed
     # block plus |diagonal| of the decaying coherences, twice each
-    usable = finite & ~skipped
-    if not usable.all():
+    usable = (finite & [error is None for error in errors] if any(errors)
+              else finite)
+    # count_nonzero tests a mask at a third of the cost of .all(), which
+    # counts in a one-point solve
+    if np.count_nonzero(usable) < len(usable):
         L = np.where(usable[:, None, None], L, _STAND_IN)
     decay = np.abs(generators.decay)
     spectrum = np.concatenate(
@@ -124,12 +126,14 @@ def reduced_steady_states(
     null_dim = (spectrum < 1e-10 * spectrum.max(axis=1, keepdims=True)).sum(
         axis=1)
     solvable = usable & (null_dim == 1)
-    if not solvable.all():
-        for i in np.flatnonzero(~skipped & ~solvable):
-            errors[i] = SteadyStateError(
-                f"degenerate steady state: null space dimension {null_dim[i]}"
-                if finite[i] else
-                "steady-state solve failed: generator has non-finite entries")
+    if np.count_nonzero(solvable) < len(solvable):
+        for i in np.flatnonzero(~solvable):
+            if errors[i] is None:
+                errors[i] = SteadyStateError(
+                    f"degenerate steady state: null space dimension "
+                    f"{null_dim[i]}" if finite[i] else
+                    "steady-state solve failed: generator has non-finite "
+                    "entries")
         L = np.where(solvable[:, None, None], L, _STAND_IN)
 
     A = _bordered(L)
@@ -147,7 +151,7 @@ def reduced_steady_states(
     # and residual there are within a factor 2 of the complex ones
     scale = np.maximum(np.abs(L).max(axis=(1, 2)), decay.max(axis=1))
     accurate = np.abs(L @ v).max(axis=(1, 2)) <= 1e-12 * scale * 9.0
-    if not accurate.all():
+    if np.count_nonzero(accurate) < len(accurate):
         for i in np.flatnonzero(solvable & ~accurate):
             errors[i] = SteadyStateError(
                 "steady-state residual above tolerance")
@@ -155,7 +159,7 @@ def reduced_steady_states(
     A_ext = generators.dissipators.astype(_EXTENDED).sum(axis=1)
     A_ext += generators.unitary
     A_ext[:, 0, :] = _TRACE_ROW
-    if not solvable.all():
+    if np.count_nonzero(solvable) < len(solvable):
         A_ext = np.where(solvable[:, None, None], A_ext, A)
     v_ext = v.astype(_EXTENDED)
     for _ in range(2):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -153,6 +154,30 @@ def test_root_engine_calls(engine_calls):
     find_current_zero(make_config(), "c", (1.0, 5.0))
     assert engine_calls[0] == 2  # both bracket ends in one call
     assert len(engine_calls) <= 14
+
+
+def test_valve_reuses_the_report_at_its_root(engine_calls, tmp_path,
+                                             capsys):
+    """The valve's CSV row is the report the root search solved last, not
+    one more solve."""
+    from trithermal.cli import main
+
+    config = make_config()
+    t_w = find_current_zero(config, "c", (1.0, 5.0))
+    search = len(engine_calls)
+    engine_calls.clear()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "system": {"omega_a": config.system.omega_a,
+                   "omega_b": config.system.omega_b, "g": config.system.g},
+        "baths": [{"label": b.label, "temperature": b.temperature,
+                   "gamma": b.gamma, "cutoff": b.cutoff}
+                  for b in config.baths]}))
+    assert main(["valve", "--config", str(path), "--bracket", "1:5"]) == 0
+    assert len(engine_calls) == search
+    row = capsys.readouterr().out.split("\n")[1].split(",")
+    assert float(row[0]) == t_w
+    assert row[2:11] == currents_at(config, t_w).csv_row(t_w, 0.02)[2:]
 
 
 def test_thermometer_engine_calls(engine_calls):

@@ -2,10 +2,17 @@ import csv
 import io
 import json
 import math
+import os
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import trithermal.cli as cli
+from trithermal.analysis import PhasePoint, phase_map_csv
 from trithermal.cli import load_config, main, parse_bracket, parse_grid
+from trithermal.observables import CurrentReport
 
 FIG4 = {
     "system": {"omega_a": 1.0, "omega_b": 0.8, "g": 0.02},
@@ -152,6 +159,21 @@ class TestSweep:
         assert main(["sweep", "--config", path, "--out", str(out)]) == 0
         assert read_rows(out.read_text())[0]["status"] == "ok"
 
+    def test_out_file_is_rewritten_in_place(self, config_path, tmp_path):
+        """An existing --out file, longer or shorter, ends up holding the
+        new CSV alone; a non-regular path such as os.devnull is written
+        and not cut."""
+        path = config_path(FIG4)
+        argv = ["sweep", "--config", path, "--grid", "Tw=2:4:3"]
+        out = tmp_path / "sweep.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        expected = out.read_bytes()
+        for stale in (b"x" * (3 * len(expected)), b"Tw\n"):
+            out.write_bytes(stale)
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_bytes() == expected
+        assert main(argv + ["--out", os.devnull]) == 0
+
 
 class TestValve:
     def test_finds_working_point(self, config_path, capsys):
@@ -240,3 +262,163 @@ def test_phase_map_needs_both_grids(config_path):
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate", "--config", "x"]) == 1
+
+
+#: (file under tests/data, argv after --config, exit code); the files hold
+#: the CSV each command wrote before grid output came from the engine's
+#: columnar table, and must not change a byte
+GOLDEN = [
+    # g past sqrt(omega_a * omega_b) puts omega_2 < 0: failure rows
+    ("sweep_g_tw.csv", ["sweep", "--grid", "g=0:1.2:7",
+                        "--grid", "Tw=1:5:3"], 2),
+    # the last T_c row sits at T_c = T_h, where the Carnot bound is undefined
+    ("sweep_tc.csv", ["sweep", "--grid", "Tc=0.85:1:4",
+                      "--grid", "Tw=2:4:2"], 2),
+    ("phase_map.csv", ["phase-map", "--grid", "Tw=-1:5:4",
+                       "--grid", "g=0:1.2:4"], 2),
+    ("valve_c.csv", ["valve", "--which", "c", "--bracket", "1:5"], 0),
+    ("valve_h.csv", ["valve", "--which", "h", "--bracket", "1:5"], 0),
+    ("refrigerator.csv", ["refrigerator", "--bracket", "1:5"], 0),
+]
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, argv, code", GOLDEN,
+                         ids=[case[0] for case in GOLDEN])
+def test_golden_csv_bytes(config_path, tmp_path, name, argv, code):
+    """Byte-for-byte the recorded CSV of the FIG4 device (the currents are
+    traced in x86 extended precision; other platforms may differ in the
+    last digits)."""
+    out = tmp_path / "out.csv"
+    assert main([argv[0], "--config", config_path(FIG4), "--out", str(out)]
+                + argv[1:]) == code
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_parser_is_built_once(config_path, capsys):
+    """A usage error, a sweep and a valve run in one process give the exit
+    codes and bytes of each run alone, with a parser of its own."""
+    path = config_path(FIG4)
+    requests = [["valve", "--config", path, "--which", "x"],
+                ["sweep", "--config", path, "--grid", "g=0:1.2:3",
+                 "--grid", "Tw=1:5:3"],
+                ["valve", "--config", path, "--bracket", "1:5"]]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in requests:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, _, _ in alone] == [1, 2, 0]
+    cli._parser.cache_clear()
+    assert run(requests[0]) == alone[0]
+    parser = cli._parser()
+    assert [run(argv) for argv in requests[1:]] == alone[1:]
+    assert cli._parser() is parser
+    assert cli._parser.cache_info().misses == 1
+
+
+# the CSV serialization of reports before the columnar table, kept as the
+# oracle of the table writers
+def oracle_csv_row(report, t_w, g):
+    values = (t_w, g, report.j_h, report.j_c, report.j_w, report.j_c12,
+              report.j_c13, report.coherence_abs, report.cop,
+              report.carnot_cop, report.entropy_rate)
+    return ["" if v is None else f"{v:.17g}" for v in values]
+
+
+def oracle_sweep_csv(coordinates, results):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(list(CurrentReport.CSV_COLUMNS) + ["status"])
+    for (t_w, g), result in zip(coordinates, results):
+        if isinstance(result, Exception):
+            writer.writerow([f"{t_w:.17g}", f"{g:.17g}"] + [""] * 9
+                            + [str(result)])
+        else:
+            writer.writerow(oracle_csv_row(result, t_w, g) + ["ok"])
+    return buffer.getvalue()
+
+
+def oracle_phase_map_csv(points):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(list(CurrentReport.CSV_COLUMNS)
+                    + ["alpha_j", "function_class", "amplifier_class", "error"])
+    for p in points:
+        if p.report is None:
+            row = [f"{p.t_w:.17g}", f"{p.g:.17g}"] + [""] * 9
+        else:
+            row = oracle_csv_row(p.report, p.t_w, p.g)
+        alpha = "" if p.alpha_j is None else f"{p.alpha_j:.17g}"
+        writer.writerow(row + [alpha, p.function_class, p.amplifier_class,
+                               p.error])
+    return buffer.getvalue()
+
+
+floats = st.floats(allow_nan=True, allow_infinity=True)
+#: error text with the characters CSV must quote
+messages = st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\x00")
+                   | st.sampled_from(',"\n\r '), max_size=12)
+reports = st.builds(CurrentReport, floats, floats, floats, floats, floats,
+                    floats, st.none() | st.floats(allow_nan=False), floats,
+                    floats)
+results = st.lists(st.tuples(floats, floats,
+                             reports | messages.map(RuntimeError)),
+                   max_size=8)
+
+#: one row of each kind: an undefined COP, and an error message with a
+#: comma and a quote
+KNOWN_ROWS = [
+    (2.0, 0.02, CurrentReport(1e-4, -2e-5, -8e-5, -1e-5, -1e-5, 3e-4, None,
+                              2.8, -4e-6)),
+    (3.0, 0.5, RuntimeError('bad, "quoted" value')),
+    (4.0, -0.0, CurrentReport(-0.0, 5e-324, math.inf, -math.inf, math.nan,
+                              0.0, -1.5, 0.0, 1e308)),
+]
+
+
+def table_sweep_csv(rows):
+    """cli's writer, fed as cmd_sweep feeds it: report values as rows of a
+    CurrentTable, with NaN for an undefined COP."""
+    values = np.array([result.values() if isinstance(result, CurrentReport)
+                       else [math.nan] * 9 for _, _, result in rows])
+    errors = [result if isinstance(result, Exception) else None
+              for _, _, result in rows]
+    return cli._sweep_csv([(t_w, g) for t_w, g, _ in rows],
+                          values.reshape(-1, 9).tolist(), errors)
+
+
+@given(results)
+def test_sweep_csv_matches_the_per_row_writer(rows):
+    for case in (rows, KNOWN_ROWS + rows):
+        text, failures = table_sweep_csv(case)
+        assert text == oracle_sweep_csv([(t_w, g) for t_w, g, _ in case],
+                                        [result for _, _, result in case])
+        assert failures == sum(isinstance(result, Exception)
+                               for _, _, result in case)
+
+
+def test_known_rows_round_trip():
+    text, failures = table_sweep_csv(KNOWN_ROWS)
+    assert failures == 1
+    rows = read_rows(text)
+    assert rows[0]["cop"] == "" and rows[0]["status"] == "ok"
+    assert rows[1]["status"] == 'bad, "quoted" value'
+    assert rows[2]["j_h"] == "-0" and rows[2]["j_c12"] == "-inf"
+
+
+@given(st.lists(st.tuples(
+    floats, floats, st.none() | reports, st.none() | st.floats(),
+    st.sampled_from(["valve", "refrigerator", "heater", "error"]),
+    st.sampled_from(["amplifier", "contraction", "undefined", "error"]),
+    st.just("") | messages), max_size=8))
+def test_phase_map_csv_matches_the_per_row_writer(fields):
+    points = [PhasePoint(*point) for point in fields]
+    assert phase_map_csv(points) == oracle_phase_map_csv(points)

@@ -20,6 +20,7 @@ from trithermal.generator import (
     build_partial_secular,
     reduced_partial_secular,
 )
+from trithermal.rates import FrequencyDomainError
 from trithermal.solver import (
     analytic_diagonal_steady_state,
     reduced_steady_states,
@@ -28,7 +29,11 @@ from trithermal.solver import (
 from trithermal.observables import (
     BLOCK_POINTS,
     CurrentReport,
+    _cop_or_none,
+    carnot_cop,
     current_reports,
+    current_table,
+    entropy_production,
     steady_state_report,
     uncoupled_currents,
 )
@@ -180,3 +185,60 @@ def test_non_finite_generator_fails_alone():
     assert str(failed) == ("steady-state solve failed: generator has "
                            "non-finite entries")
     assert first == last == one(NORMAL)
+
+
+def scalar_figures(report, config):
+    """COP, Carnot bound and entropy rate of the scalar functions, from the
+    table's currents."""
+    temperatures = {label: config.temperature(label) for label in "hcw"}
+    return (_cop_or_none(report.j_c, report.j_w), carnot_cop(temperatures),
+            entropy_production(report.j_h, report.j_c, report.j_w,
+                               temperatures))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(devices(), min_size=1, max_size=6))
+def test_table_columns_are_the_scalar_figures_bit_for_bit(configs):
+    """COP, Carnot bound and entropy rate of the columnar table equal the
+    scalar functions exactly: the same float64 operations, in order."""
+    for config, report in zip(configs,
+                              current_reports(stack_points(configs))):
+        if not isinstance(report, Exception):
+            assert (report.cop, report.carnot_cop, report.entropy_rate) == \
+                scalar_figures(report, config)
+
+
+def test_table_marks_failures_and_undefined_figures():
+    """omega_2 < 0, T_c = T_h, a T_w whose Carnot bound overflows, and a
+    work bath with gamma = 0, whose current is 0, in one table."""
+    configs = [device(0.8, 0.02, (1.0, 0.85, 2.0)),
+               device(0.8, 1.0, (1.0, 0.85, 2.0)),
+               device(0.8, 0.02, (1.0, 1.0, 2.0)),
+               device(0.8, 0.0, (1.0, 0.85, 2.2250738585072014e-308)),
+               device(0.8, 0.02, (1.0, 0.85, 2.0), gammas=(0.008, 0.008, 0.0))]
+    table = current_table(stack_points(configs))
+    assert table.values.shape == (5, 9) and table.slopes is None
+    kinds = [type(error).__name__ for error in table.errors]
+    assert kinds == ["NoneType", "FrequencyDomainError",
+                     "UndefinedObservableError", "NoneType", "NoneType"]
+    reports = table.reports()
+    assert reports[1:3] == table.errors[1:3]
+    assert reports[3].carnot_cop == -np.inf
+    for i in (0, 3, 4):
+        assert (reports[i].cop, reports[i].carnot_cop,
+                reports[i].entropy_rate) == scalar_figures(reports[i],
+                                                           configs[i])
+        assert np.array_equal(table.values[i], reports[i].values(),
+                              equal_nan=True)
+    assert reports[4].cop is None
+    assert np.isnan(table.values[4, 6])
+
+
+def test_tables_with_slopes_match_the_reports():
+    configs = [device(0.8, g, (1.0, 0.85, 3.0)) for g in (0.0, 0.02, 1.0)]
+    table = current_table(stack_points(configs), tw_slopes=True)
+    responses = current_reports(stack_points(configs), tw_slopes=True)
+    assert table.slopes.shape == (3, 2)
+    assert table.reports()[:2] == responses[:2]
+    assert isinstance(responses[2], FrequencyDomainError)
+    assert responses[1].d_jc == table.slopes[1, 0]
