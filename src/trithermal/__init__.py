@@ -10,7 +10,6 @@ from .model import (
     EIGEN,
     POINT_COLUMNS,
     BathSpec,
-    BasisError,
     ConfigError,
     DensityMatrix,
     DeviceConfig,
@@ -18,12 +17,10 @@ from .model import (
     SystemParams,
     diagonalize,
     stack_points,
-    validate,
 )
 from .rates import (
     RatePair,
     bose_occupation,
-    dressed_rates,
     ohmic_spectral_density,
     transition_rates,
 )
@@ -31,8 +28,6 @@ from .generator import (
     Generator,
     build_full_secular,
     build_partial_secular,
-    dissipator_apply,
-    dump_csv,
     unvectorize,
     vectorize,
 )
@@ -42,9 +37,7 @@ from .solver import (
     Trajectory,
     analytic_diagonal_steady_state,
     default_timestep,
-    detailed_balance_residual,
     evolve,
-    steady_state,
     trajectory_csv,
 )
 from .observables import (
@@ -53,14 +46,9 @@ from .observables import (
     CurrentTable,
     UndefinedObservableError,
     carnot_cop,
-    closed_form_currents,
-    cop_and_bounds,
     current_reports,
     current_table,
-    effective_temperatures,
     entropy_production,
-    heat_current_trace,
-    steady_state_report,
     uncoupled_currents,
 )
 from .analysis import (

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import POINT_COLUMNS, ConfigError, DeviceConfig, stack_points, validate
+from .model import POINT_COLUMNS, ConfigError, DeviceConfig, stack_points
 from .observables import (
     CurrentReport,
     CurrentResponse,
@@ -143,7 +143,6 @@ def _current_zero(config: DeviceConfig, which: str,
                   rel_tol: float = 1e-10) -> tuple[float, CurrentReport]:
     """find_current_zero's T_w, and the current report there that the
     search has solved."""
-    validate(config)
     if which not in ("h", "c", "w"):
         raise ConfigError(f"unknown current selector {which!r}")
     lo, hi = bracket
@@ -266,7 +265,6 @@ def measure_temperature(config: DeviceConfig, tw_max_factor: float = 1e3,
     find_current_zero. The config's cold-bath temperature plays the hidden
     sample temperature; the reading must reproduce it.
     """
-    validate(config)
     if config.system.g != 0.0:
         raise ConfigError("the thermometer protocol requires g=0")
     t_h = config.temperature("h")
@@ -371,7 +369,6 @@ def phase_map(config: DeviceConfig, tw_values,
     point, with the derivatives its amplification factor needs, comes from
     one current_reports call.
     """
-    validate(config)
     g_values = [float(g) for g in g_values]
     tw_values = [float(t_w) for t_w in tw_values]
     rejections = []

@@ -15,13 +15,14 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import stat
 import sys
 
 import numpy as np
 
-from .model import BARE, EIGEN, BathSpec, ConfigError, DensityMatrix, DeviceConfig, SystemParams, point_column, stack_points, validate
+from .model import BARE, EIGEN, BathSpec, ConfigError, DensityMatrix, DeviceConfig, SystemParams, point_column, stack_points
 from .generator import build_full_secular, build_partial_secular
 from .solver import SteadyStateError, StepSizeError, default_timestep, evolve, trajectory_csv
 from .observables import CurrentReport, UndefinedObservableError, csv_fields, current_table
@@ -63,6 +64,18 @@ def _require_keys(mapping: dict, allowed: set[str], required: set[str],
         raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
 
 
+def _number(mapping: dict, key: str, default: float | None = None) -> float:
+    """mapping[key] (or the default when absent) as a float; a JSON number
+    is required, and a bool, string, null, list or object is rejected."""
+    value = mapping.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{key} must be finite") from exc
+
+
 def load_config(path: str) -> DeviceConfig:
     """Parse and schema-check the JSON device description."""
     with open(path, encoding="utf-8") as handle:
@@ -70,6 +83,9 @@ def load_config(path: str) -> DeviceConfig:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _require_keys(raw, {"system", "baths"}, {"system", "baths"}, "config")
@@ -78,9 +94,9 @@ def load_config(path: str) -> DeviceConfig:
         raise ConfigError("'system' must be an object")
     _require_keys(system_raw, {"omega_a", "omega_b", "g"},
                   {"omega_a", "omega_b"}, "system")
-    system = SystemParams(omega_a=float(system_raw["omega_a"]),
-                          omega_b=float(system_raw["omega_b"]),
-                          g=float(system_raw.get("g", 0.0)))
+    system = SystemParams(omega_a=_number(system_raw, "omega_a"),
+                          omega_b=_number(system_raw, "omega_b"),
+                          g=_number(system_raw, "g", 0.0))
     baths_raw = raw["baths"]
     if not isinstance(baths_raw, list) or len(baths_raw) != 3:
         raise ConfigError("'baths' must be a list of exactly three records")
@@ -91,10 +107,10 @@ def load_config(path: str) -> DeviceConfig:
         _require_keys(record, {"label", "temperature", "gamma", "cutoff"},
                       {"label", "temperature", "gamma", "cutoff"}, "bath")
         baths.append(BathSpec(label=str(record["label"]),
-                              temperature=float(record["temperature"]),
-                              gamma=float(record["gamma"]),
-                              cutoff=float(record["cutoff"])))
-    return validate(DeviceConfig(system=system, baths=tuple(baths)))
+                              temperature=_number(record, "temperature"),
+                              gamma=_number(record, "gamma"),
+                              cutoff=_number(record, "cutoff")))
+    return DeviceConfig(system=system, baths=tuple(baths))
 
 
 def parse_grid(text: str) -> SweepGrid:
@@ -232,6 +248,12 @@ def cmd_thermometer(args) -> int:
 
 def cmd_dynamics(args) -> int:
     config = load_config(args.config)
+    for flag, value in (("--t-final", args.t_final), ("--dt", args.dt)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite")
+    # checked before evolve does: the default stride divides by dt
+    if args.dt is not None and not args.dt > 0:
+        raise ConfigError("dt must be positive")
     if config.system.g == 0.0 and args.secular == "full":
         generator = build_full_secular(config)
     else:

@@ -19,8 +19,6 @@ factor-2 convention throughout.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -30,16 +28,13 @@ from .model import (
     BARE,
     BATH_LABELS,
     POINT_COLUMNS,
-    BasisError,
     BathColumns,
     ConfigError,
-    DensityMatrix,
     DeviceConfig,
     EigenSystem,
     diagonalize,
     eigensystem,
     point_column,
-    validate,
 )
 from .rates import RatePair, rate_temperature_slope, transition_rates
 
@@ -178,7 +173,6 @@ def build_partial_secular(config: DeviceConfig) -> Generator:
     are retained, which is what sustains the steady-state coherence between
     the excited levels.
     """
-    validate(config)
     eig = diagonalize(config.system)
     blocks = {}
     for label in BATH_LABELS:
@@ -277,7 +271,9 @@ class ReducedGenerators:
 
 
 def reduced_partial_secular(points: np.ndarray) -> ReducedGenerators:
-    """``build_partial_secular`` of every row of stacked device points.
+    """``build_partial_secular`` of every row of stacked device points, on
+    the closed block: the first stage of the package's steady-state path,
+    before solver.reduced_steady_states and observables.current_table.
 
     The rates of all nine pairs come from one transition_rates call, and
     all blocks from one product of the rate values with templates taken
@@ -346,7 +342,6 @@ def build_full_secular(config: DeviceConfig) -> Generator:
     omega_a, cold bath on {|1>, |b>} at omega_b, work bath on {|b>, |a>} at
     delta. Populations decouple completely from the coherences.
     """
-    validate(config)
     if config.system.g != 0.0:
         raise ConfigError("full secular generator requires g=0")
     omega_a = config.system.omega_a
@@ -371,32 +366,3 @@ def build_full_secular(config: DeviceConfig) -> Generator:
     return Generator(matrix=matrix, unitary=unitary, dissipators=blocks,
                      hamiltonian=hamiltonian, basis=BARE,
                      mode=FULL_SECULAR, config=config)
-
-
-def dissipator_apply(generator: Generator, bath_label: str,
-                     rho: DensityMatrix) -> np.ndarray:
-    """Apply one bath's dissipator block to a state, returning a 3x3 matrix."""
-    if rho.basis != generator.basis:
-        raise BasisError(
-            f"state is in the {rho.basis!r} basis but the generator "
-            f"expects {generator.basis!r}")
-    block = generator.dissipators[bath_label]
-    return unvectorize(block @ vectorize(rho.matrix))
-
-
-def dump_csv(generator: Generator, stream=None) -> str:
-    """Write the 9x9 generator as re/im column pairs, row-major.
-
-    Intended for diffing generators across implementations; returns the CSV
-    text and optionally writes it to an open text stream.
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([f"{part}{j}" for j in range(9) for part in ("re", "im")])
-    for row in generator.matrix:
-        writer.writerow([f"{part:.17g}"
-                         for entry in row for part in (entry.real, entry.imag)])
-    text = buffer.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text

@@ -25,10 +25,6 @@ class ConfigError(ValueError):
     """A parameter record violates one of its invariants."""
 
 
-class BasisError(ValueError):
-    """A density matrix was supplied in the wrong basis."""
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Bare level spacings and the coupling between the two excited levels."""
@@ -172,15 +168,6 @@ class DeviceConfig:
 
     def with_coupling(self, g: float) -> "DeviceConfig":
         return replace(self, system=replace(self.system, g=g))
-
-
-def validate(config: DeviceConfig) -> DeviceConfig:
-    """Recheck every invariant of an assembled config and hand it back."""
-    if not isinstance(config, DeviceConfig):
-        raise ConfigError("expected a DeviceConfig")
-    # frozen dataclasses validate on construction; rebuilding re-runs all checks
-    DeviceConfig(system=config.system, baths=config.baths)
-    return config
 
 
 #: column layout of stacked device points, one row per point: the system

@@ -1,9 +1,11 @@
-"""Steady-state heat currents, figures of merit, and thermodynamic checks.
+"""Steady-state heat currents, figures of merit and the entropy rate.
 
 Sign convention: a positive current flows from the bath into the system.
-The per-bath currents are Tr[H_S D_mu(rho_ss)]; closed-form expressions in
-terms of rates and matrix elements are provided as an independent route and
-must agree with the trace route at roundoff level.
+The per-bath currents are Tr[H_S D_mu(rho_ss)], taken by ``current_table``
+on the reduced block: the package's one steady-state path. The 9x9 trace
+route and the closed-form route from rates and matrix elements, which must
+agree with it at roundoff level, are the tests' references
+(tests/reference.py).
 """
 
 from __future__ import annotations
@@ -20,19 +22,11 @@ from .model import (
     ConfigError,
     DensityMatrix,
     DeviceConfig,
-    diagonalize,
-    validate,
 )
 from .generator import (
-    Generator,
     ReducedGenerators,
-    dissipator_apply,
     reduced_partial_secular,
     reduced_work_slope,
-    vectorize,
-    _I11,
-    _I22,
-    _I33,
 )
 from .rates import FrequencyDomainError, transition_rates
 from .solver import reduced_steady_states
@@ -43,10 +37,6 @@ COP_CURRENT_FLOOR = 1e-14
 #: device points per block of current_reports; a constant, so that the
 #: engine's working memory does not grow with the grid
 BLOCK_POINTS = 256
-
-# 80-bit extended precision where the platform provides it (x86 linux does);
-# used only to polish steady states before taking energy traces
-_EXTENDED = getattr(np, "complex256", np.complex128)
 
 
 class UndefinedObservableError(RuntimeError):
@@ -109,45 +99,6 @@ def current_scale(j_h: float, j_c: float, j_w: float) -> float:
     return max(abs(j_h), abs(j_c), abs(j_w), 1e-300)
 
 
-def heat_current_trace(generator: Generator, rho_ss: DensityMatrix,
-                       bath_label: str) -> float:
-    """Energy flow from one bath into the system, Tr[H_S D_mu(rho_ss)]."""
-    flow = dissipator_apply(generator, bath_label, rho_ss)
-    return float(np.trace(generator.hamiltonian @ flow).real)
-
-
-def _polished_steady_vector(generator: Generator,
-                            rho_ss: DensityMatrix) -> np.ndarray:
-    """Extended-precision refinement of a steady state for current traces.
-
-    A double-precision steady state carries an L rho residual at its
-    representation floor (~1e-18); energy-weighted, that residual shows up
-    verbatim as an apparent violation of Jh + Jc + Jw = 0 and can rival the
-    currents themselves close to equilibrium. Two refinement steps with
-    residuals accumulated in extended precision push it out of reach.
-    """
-    L = generator.matrix
-    A = L.copy()
-    A[_I11, :] = 0.0
-    A[_I11, _I11] = A[_I11, _I22] = A[_I11, _I33] = 1.0
-    b = np.zeros(9, dtype=complex)
-    b[_I11] = 1.0
-    A_ext = A.astype(_EXTENDED)
-    b_ext = b.astype(_EXTENDED)
-    v = vectorize(rho_ss.matrix).astype(_EXTENDED)
-    for _ in range(2):
-        residual = A_ext @ v - b_ext
-        v = v - np.linalg.solve(A, residual.astype(complex)).astype(_EXTENDED)
-    return v
-
-
-def _bath_current_polished(generator: Generator, bath_label: str,
-                           v: np.ndarray) -> float:
-    flow = generator.dissipators[bath_label].astype(_EXTENDED) @ v
-    energies = np.diag(generator.hamiltonian).real
-    return float(sum(energies[i] * flow[4 * i].real for i in range(3)))
-
-
 def carnot_cop(temperatures: dict[str, float]) -> float:
     """Carnot bound (beta_h - beta_w) / (beta_c - beta_h) on the COP."""
     beta_h = 1.0 / temperatures["h"]
@@ -170,44 +121,6 @@ def _cop_or_none(j_c: float, j_w: float) -> float | None:
     if abs(j_w) <= COP_CURRENT_FLOOR * scale:
         return None
     return j_c / j_w
-
-
-def steady_state_report(generator: Generator,
-                        rho_ss: DensityMatrix) -> CurrentReport:
-    """Assemble the full current report from the per-bath trace currents."""
-    config = generator.config
-    v = _polished_steady_vector(generator, rho_ss)
-    j_h = _bath_current_polished(generator, "h", v)
-    j_c = _bath_current_polished(generator, "c", v)
-    j_w = _bath_current_polished(generator, "w", v)
-    temperatures = {label: config.temperature(label) for label in "hcw"}
-    if generator.basis == BARE:
-        j_c12, j_c13 = j_c, 0.0
-    else:
-        j_c12, j_c13 = cold_current_decomposition(config, rho_ss)
-    return CurrentReport(
-        j_h=j_h, j_c=j_c, j_w=j_w, j_c12=j_c12, j_c13=j_c13,
-        coherence_abs=abs(rho_ss.excited_coherence),
-        cop=_cop_or_none(j_c, j_w),
-        carnot_cop=carnot_cop(temperatures),
-        entropy_rate=entropy_production(j_h, j_c, j_w, temperatures),
-    )
-
-
-def cold_current_decomposition(config: DeviceConfig,
-                               rho_ss: DensityMatrix) -> tuple[float, float]:
-    """Split the cold current over the 1<->2 and 1<->3 channels."""
-    eig = diagonalize(config.system)
-    bath_c = config.bath("c")
-    c_2 = transition_rates(eig.omega_2, bath_c)
-    c_3 = transition_rates(eig.omega_3, bath_c)
-    p = rho_ss.populations
-    x = 2.0 * rho_ss.excited_coherence.real
-    j_c12 = eig.omega_2 * (2.0 * eig.f2 * (c_2.up * p[0] - c_2.down * p[1])
-                           - eig.f1 * c_3.down * x)
-    j_c13 = eig.omega_3 * (2.0 * eig.f3 * (c_3.up * p[0] - c_3.down * p[2])
-                           - eig.f1 * c_2.down * x)
-    return j_c12, j_c13
 
 
 class CurrentResponse(NamedTuple):
@@ -259,10 +172,11 @@ def current_table(points: np.ndarray, tw_slopes: bool = False) -> CurrentTable:
     """Current reports of the partial-secular steady states of stacked
     device points (rows laid out as model.POINT_COLUMNS), as columns.
 
-    Row i holds the report of ``steady_state_report(g, steady_state(g))``
-    with ``g = build_partial_secular(config_i)``, to roundoff, computed on
-    the reduced generator BLOCK_POINTS points at a time. A point that
-    fails gets the exception the 9x9 path raises as its error.
+    Row i holds, to roundoff, the report of the 9x9 generator
+    ``build_partial_secular(config_i)`` solved and traced directly (the
+    tests' reference path, tests/reference.py), computed on the reduced
+    generator BLOCK_POINTS points at a time. A point that fails gets the
+    exception the 9x9 path raises as its error.
     """
     n = len(points)
     table = CurrentTable(np.empty((n, 9)), [],
@@ -358,45 +272,9 @@ def _tw_slopes(points: np.ndarray, generators: ReducedGenerators,
     return (flows[:, :, 1:3, 0] * energies[:, None, :]).sum(axis=2)
 
 
-def closed_form_currents(config: DeviceConfig,
-                         rho_ss: DensityMatrix) -> CurrentReport:
-    """Currents of the coupled device from rates and matrix elements alone.
-
-    Independent of the generator object: everything is evaluated from the
-    dressed rates and the steady-state entries, including the coherence
-    contributions to the hot and cold currents.
-    """
-    validate(config)
-    if rho_ss.basis != "eigen":
-        raise ConfigError("closed-form currents expect an eigenbasis state")
-    eig = diagonalize(config.system)
-    h_2 = transition_rates(eig.omega_2, config.bath("h"))
-    h_3 = transition_rates(eig.omega_3, config.bath("h"))
-    w = transition_rates(eig.capital_omega, config.bath("w"))
-    p = rho_ss.populations
-    x = 2.0 * rho_ss.excited_coherence.real
-
-    j_h = (2.0 * eig.omega_2 * eig.f3 * (h_2.up * p[0] - h_2.down * p[1])
-           + 2.0 * eig.omega_3 * eig.f2 * (h_3.up * p[0] - h_3.down * p[2])
-           + eig.f1 * (eig.omega_2 * h_3.down + eig.omega_3 * h_2.down) * x)
-    j_c12, j_c13 = cold_current_decomposition(config, rho_ss)
-    j_c = j_c12 + j_c13
-    j_w = 2.0 * eig.capital_omega * (w.up * p[1] - w.down * p[2])
-
-    temperatures = {label: config.temperature(label) for label in "hcw"}
-    return CurrentReport(
-        j_h=j_h, j_c=j_c, j_w=j_w, j_c12=j_c12, j_c13=j_c13,
-        coherence_abs=abs(rho_ss.excited_coherence),
-        cop=_cop_or_none(j_c, j_w),
-        carnot_cop=carnot_cop(temperatures),
-        entropy_rate=entropy_production(j_h, j_c, j_w, temperatures),
-    )
-
-
 def uncoupled_currents(config: DeviceConfig,
                        rho_ss: DensityMatrix) -> CurrentReport:
     """Currents of the uncoupled device from its diagonal steady state."""
-    validate(config)
     if config.system.g != 0.0:
         raise ConfigError("uncoupled currents require g=0")
     if rho_ss.basis != BARE:
@@ -420,31 +298,3 @@ def uncoupled_currents(config: DeviceConfig,
         carnot_cop=carnot_cop(temperatures),
         entropy_rate=entropy_production(j_h, j_c, j_w, temperatures),
     )
-
-
-def effective_temperatures(rho_ss: DensityMatrix,
-                           config: DeviceConfig) -> tuple[float, float]:
-    """Boltzmann temperatures of the two ground-excited level pairs at g=0.
-
-    T_s = omega_s / ln(rho_11 / rho_ss); positive only while the ground
-    level stays the most populated, which holds in every regime studied.
-    """
-    if config.system.g != 0.0:
-        raise ConfigError("effective temperatures are defined for g=0")
-    p_1, p_b, p_a = rho_ss.populations
-    if p_a >= p_1 or p_b >= p_1:
-        raise UndefinedObservableError(
-            "population inversion: effective temperature would be negative")
-    t_a = config.system.omega_a / math.log(p_1 / p_a)
-    t_b = config.system.omega_b / math.log(p_1 / p_b)
-    return t_a, t_b
-
-
-def cop_and_bounds(report: CurrentReport,
-                   temperatures: dict[str, float]) -> tuple[float, float, float]:
-    """COP, its Carnot bound, and the margin between them."""
-    if report.cop is None:
-        raise UndefinedObservableError(
-            "COP undefined: work current below noise floor")
-    bound = carnot_cop(temperatures)
-    return report.cop, bound, bound - report.cop

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BathColumns, BathSpec, EigenSystem
+from .model import BathColumns, BathSpec
 
 #: below omega < SMALL_FREQUENCY_FACTOR * T the occupation uses its series form
 SMALL_FREQUENCY_FACTOR = 1e-6
@@ -105,10 +105,3 @@ def rate_temperature_slope(omega, bath: BathSpec | BathColumns):
     slope = damping * np.where(small, 1.0 - x_small * x_small / 12.0,
                                x_large * x_large * n * (1.0 + n))
     return slope[()]
-
-
-def dressed_rates(omega: float, bath: BathSpec,
-                  eig: EigenSystem) -> tuple[RatePair, RatePair, RatePair]:
-    """Bare rates weighted by the three eigenbasis overlap factors f1, f2, f3."""
-    bare = transition_rates(omega, bath)
-    return bare.scaled(eig.f1), bare.scaled(eig.f2), bare.scaled(eig.f3)

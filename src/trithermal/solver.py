@@ -1,4 +1,4 @@
-"""Steady-state extraction, time evolution, and the diagonal analytic oracle."""
+"""Stacked steady states, time evolution, and the diagonal analytic oracle."""
 
 from __future__ import annotations
 
@@ -8,16 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BARE, ConfigError, DensityMatrix, DeviceConfig, validate
-from .generator import (
-    Generator,
-    ReducedGenerators,
-    unvectorize,
-    vectorize,
-    _I11,
-    _I22,
-    _I33,
-)
+from .model import BARE, ConfigError, DensityMatrix, DeviceConfig
+from .generator import Generator, ReducedGenerators, unvectorize, vectorize
 from .rates import transition_rates
 
 # 80-bit extended precision where the platform provides it (x86 linux does);
@@ -35,38 +27,6 @@ class StepSizeError(RuntimeError):
     def __init__(self, message, suggested_dt):
         super().__init__(message)
         self.suggested_dt = suggested_dt
-
-
-def steady_state(generator: Generator) -> DensityMatrix:
-    """Unique null vector of the generator, normalized to unit trace.
-
-    One redundant row (the rho_11 diagonal row) is replaced by the trace
-    constraint and the dense 9x9 system is solved directly; one step of
-    iterative refinement keeps the null-space residual at roundoff level.
-    """
-    L = generator.matrix
-    singular_values = np.linalg.svd(L, compute_uv=False)
-    null_dim = int(np.sum(singular_values < 1e-10 * singular_values[0]))
-    if null_dim != 1:
-        raise SteadyStateError(
-            f"degenerate steady state: null space dimension {null_dim}")
-
-    A = L.copy()
-    A[_I11, :] = 0.0
-    A[_I11, _I11] = A[_I11, _I22] = A[_I11, _I33] = 1.0
-    b = np.zeros(9, dtype=complex)
-    b[_I11] = 1.0
-    try:
-        v = np.linalg.solve(A, b)
-        v -= np.linalg.solve(A, A @ v - b)
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError(f"steady-state solve failed: {exc}") from exc
-
-    scale = np.max(np.abs(L))
-    if np.max(np.abs(L @ v)) > 1e-12 * scale * 9.0:
-        raise SteadyStateError("steady-state residual above tolerance")
-    rho = unvectorize(v)
-    return DensityMatrix(0.5 * (rho + rho.conj().T), generator.basis)
 
 
 #: the trace constraint that replaces the p1 row of a reduced generator,
@@ -93,13 +53,14 @@ def reduced_steady_states(
         errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steady states (p1, p2, p3, u, w) of stacked reduced generators.
 
-    The steps of ``steady_state`` point by point: the rank check over the
-    spectrum of the full 9x9 generator, the bordered solve with one step of
-    refinement, and the residual check. Two further refinement steps with
-    residuals in extended precision follow, summing the bath blocks there,
-    so that energy traces of the polished states keep the first law well
-    below the double-precision roundoff of the generator. The four solves
-    share one inverse of each 5x5 bordered matrix.
+    The steps of the tests' 9x9 reference solve (tests/reference.py) point
+    by point: the rank check over the spectrum of the full 9x9 generator,
+    the bordered solve with one step of refinement, and the residual check.
+    Two further refinement steps with residuals in extended precision
+    follow, summing the bath blocks there, so that energy traces of the
+    polished states keep the first law well below the double-precision
+    roundoff of the generator. The four solves share one inverse of each
+    5x5 bordered matrix.
 
     Returns the double-precision states and the polished extended ones,
     (N, 5) each, and the inverses of the bordered matrices, (N, 5, 5), for
@@ -147,7 +108,7 @@ def reduced_steady_states(
     v = inverse[:, :, :1]
     v = v - inverse @ (A @ v - _UNIT_TRACE)
 
-    # the residual check of steady_state, taken in the real form: entries
+    # the 9x9 reference's residual check, taken in the real form: entries
     # and residual there are within a factor 2 of the complex ones
     scale = np.maximum(np.abs(L).max(axis=(1, 2)), decay.max(axis=1))
     accurate = np.abs(L @ v).max(axis=(1, 2)) <= 1e-12 * scale * 9.0
@@ -244,7 +205,6 @@ def analytic_diagonal_steady_state(config: DeviceConfig) -> DensityMatrix:
     Ratios of products of the six bare rates over a nine-term normalization;
     valid only at g = 0 where the populations close among themselves.
     """
-    validate(config)
     if config.system.g != 0.0:
         raise ConfigError("analytic diagonal steady state requires g=0")
     h = transition_rates(config.system.omega_a, config.bath("h"))
@@ -259,25 +219,6 @@ def analytic_diagonal_steady_state(config: DeviceConfig) -> DensityMatrix:
             + h.up * c.down + c.up * w.up + h.up * w.up)
     return DensityMatrix.from_populations(
         (p_1 / norm, p_b / norm, p_a / norm), BARE)
-
-
-def detailed_balance_residual(config: DeviceConfig,
-                              rho: DensityMatrix) -> tuple[float, float, float]:
-    """Gain-minus-loss of each level under the three uncoupled channels."""
-    validate(config)
-    if config.system.g != 0.0:
-        raise ConfigError("detailed balance check requires g=0")
-    off_diagonal = rho.matrix - np.diag(rho.matrix.diagonal())
-    if np.max(np.abs(off_diagonal)) > 1e-10:
-        raise ConfigError("detailed balance check requires a diagonal state")
-    p_1, p_b, p_a = rho.populations
-    h = transition_rates(config.system.omega_a, config.bath("h"))
-    c = transition_rates(config.system.omega_b, config.bath("c"))
-    w = transition_rates(config.system.delta, config.bath("w"))
-    r1 = c.down * p_b + h.down * p_a - (c.up + h.up) * p_1
-    r2 = c.up * p_1 + w.down * p_a - (w.up + c.down) * p_b
-    r3 = h.up * p_1 + w.up * p_b - (h.down + w.down) * p_a
-    return (r1, r2, r3)
 
 
 def trajectory_csv(trajectory: Trajectory, stream=None) -> str:

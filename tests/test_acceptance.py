@@ -22,11 +22,9 @@ from trithermal.generator import build_full_secular, build_partial_secular
 from trithermal.solver import (
     analytic_diagonal_steady_state,
     default_timestep,
-    detailed_balance_residual,
     evolve,
-    steady_state,
 )
-from trithermal.observables import current_scale, steady_state_report
+from trithermal.observables import current_scale
 from trithermal.analysis import (
     MeasurementRangeError,
     amplification_factor,
@@ -36,6 +34,8 @@ from trithermal.analysis import (
     measure_temperature,
     sensitivity,
 )
+
+from reference import detailed_balance_residual, steady_state
 
 
 def record(number, description, ok, detail=""):

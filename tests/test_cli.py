@@ -62,20 +62,27 @@ class TestConfigLoading:
         bad["baths"] = bad["baths"][:2]
         assert main(["sweep", "--config", config_path(bad)]) == 1
 
-    def test_invalid_json_rejected(self, tmp_path):
+    def test_invalid_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert main(["sweep", "--config", str(path)]) == 1
+        for content, message in ((b"{not json", "not valid JSON"),
+                                 (b"\xff\xfe", "not valid UTF-8 JSON")):
+            path.write_bytes(content)
+            assert main(["sweep", "--config", str(path)]) == 1
+            assert f"error: config is {message}" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["sweep", "--config", "/nonexistent.json"]) == 1
 
     @pytest.mark.parametrize("where, key", [
         ("system", "g"), ("bath", "gamma"), ("bath", "temperature")])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "abc", None,
+                                       [1.0], {}, True,
+                                       pytest.param(10 ** 400, id="1e400")])
     def test_non_finite_value_rejected(self, config_path, capsys, where,
                                        key, value):
-        """JSON NaN and Infinity parse; the model rejects them (exit 1)."""
+        """JSON NaN and Infinity parse, and the model rejects them; a value
+        that is not a JSON number (a bool included) is rejected before it
+        reaches the model. Either way, exit 1 with no traceback."""
         bad = json.loads(json.dumps(FIG4))
         record = bad["system"] if where == "system" else bad["baths"][0]
         record[key] = value
@@ -236,6 +243,20 @@ def test_thermometer_requires_uncoupled(config_path):
     assert main(["thermometer", "--config", config_path(FIG4)]) == 1
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--t-final", "inf", "--t-final must be finite"),
+    ("--t-final", "nan", "--t-final must be finite"),
+    ("--dt", "inf", "--dt must be finite"),
+    ("--dt", "nan", "--dt must be finite"),
+    ("--dt", "0", "dt must be positive")])
+def test_dynamics_rejects_bad_times(config_path, capsys, flag, value,
+                                    message):
+    """A config error (exit 1), not a traceback or a one-sample run."""
+    assert main(["dynamics", "--config", config_path(FIG4),
+                 "--t-final", "200", flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_dynamics_positivity_column(config_path, capsys):
     path = config_path(FIG4)
     assert main(["dynamics", "--config", path, "--initial", "2",
@@ -264,9 +285,11 @@ def test_unknown_command_is_usage_error():
     assert main(["frobnicate", "--config", "x"]) == 1
 
 
-#: (file under tests/data, argv after --config, exit code); the files hold
-#: the CSV each command wrote before grid output came from the engine's
-#: columnar table, and must not change a byte
+#: (file under tests/data, argv after --config, exit code) of the FIG4
+#: device, or of the config GOLDEN_CONFIGS names for the file. The grid and
+#: root files hold the CSV each command wrote before grid output came from
+#: the engine's columnar table, the dynamics files the trajectories of the
+#: 9x9 builders that dynamics runs on; none may change a byte
 GOLDEN = [
     # g past sqrt(omega_a * omega_b) puts omega_2 < 0: failure rows
     ("sweep_g_tw.csv", ["sweep", "--grid", "g=0:1.2:7",
@@ -279,7 +302,13 @@ GOLDEN = [
     ("valve_c.csv", ["valve", "--which", "c", "--bracket", "1:5"], 0),
     ("valve_h.csv", ["valve", "--which", "h", "--bracket", "1:5"], 0),
     ("refrigerator.csv", ["refrigerator", "--bracket", "1:5"], 0),
+    ("dynamics_partial.csv", ["dynamics", "--initial", "2",
+                              "--t-final", "200"], 0),
+    ("dynamics_full_g0.csv", ["dynamics", "--secular", "full",
+                              "--t-final", "200"], 0),
 ]
+GOLDEN_CONFIGS = {"dynamics_full_g0.csv": {**FIG4, "system": {
+    **FIG4["system"], "g": 0.0}}}
 
 DATA = Path(__file__).parent / "data"
 
@@ -287,12 +316,13 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize("name, argv, code", GOLDEN,
                          ids=[case[0] for case in GOLDEN])
 def test_golden_csv_bytes(config_path, tmp_path, name, argv, code):
-    """Byte-for-byte the recorded CSV of the FIG4 device (the currents are
-    traced in x86 extended precision; other platforms may differ in the
-    last digits)."""
+    """Byte-for-byte the recorded CSV of the FIG4 device, or of its
+    GOLDEN_CONFIGS variant (the currents are traced in x86 extended
+    precision; other platforms may differ in the last digits)."""
     out = tmp_path / "out.csv"
-    assert main([argv[0], "--config", config_path(FIG4), "--out", str(out)]
-                + argv[1:]) == code
+    document = GOLDEN_CONFIGS.get(name, FIG4)
+    assert main([argv[0], "--config", config_path(document), "--out",
+                 str(out)] + argv[1:]) == code
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 

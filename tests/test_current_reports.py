@@ -24,7 +24,6 @@ from trithermal.rates import FrequencyDomainError
 from trithermal.solver import (
     analytic_diagonal_steady_state,
     reduced_steady_states,
-    steady_state,
 )
 from trithermal.observables import (
     BLOCK_POINTS,
@@ -34,9 +33,10 @@ from trithermal.observables import (
     current_reports,
     current_table,
     entropy_production,
-    steady_state_report,
     uncoupled_currents,
 )
+
+from reference import steady_state, steady_state_report
 
 CURRENTS = ("j_h", "j_c", "j_w", "j_c12", "j_c13")
 

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from trithermal.model import (
     BARE,
     EIGEN,
-    BasisError,
     ConfigError,
     DensityMatrix,
     SystemParams,
@@ -16,8 +15,6 @@ from trithermal.generator import (
     PARTIAL_SECULAR,
     build_full_secular,
     build_partial_secular,
-    dissipator_apply,
-    dump_csv,
     unvectorize,
     vectorize,
 )
@@ -152,21 +149,8 @@ class TestDissipatorApply:
         eig = diagonalize(config.system)
         w = transition_rates(eig.capital_omega, config.bath("w"))
         gen = build_partial_secular(config)
-        flow = dissipator_apply(gen, "w", DensityMatrix.pure(2, EIGEN))
+        flow = unvectorize(gen.dissipators["w"]
+                           @ vectorize(DensityMatrix.pure(2, EIGEN).matrix))
         assert flow[2, 2].real == pytest.approx(2.0 * w.up, rel=1e-14)
         assert flow[1, 1].real == pytest.approx(-2.0 * w.up, rel=1e-14)
         assert np.trace(flow).real == pytest.approx(0.0, abs=1e-16)
-
-    def test_basis_mismatch(self):
-        gen = build_partial_secular(make_config())
-        with pytest.raises(BasisError):
-            dissipator_apply(gen, "h", DensityMatrix.pure(1, BARE))
-
-
-def test_dump_csv_round_trip():
-    gen = build_partial_secular(make_config())
-    lines = dump_csv(gen).strip().split("\n")
-    assert len(lines) == 10
-    first_data = [float(x) for x in lines[1].split(",")]
-    assert len(first_data) == 18
-    assert first_data[0] == gen.matrix[0, 0].real

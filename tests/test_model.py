@@ -13,7 +13,6 @@ from trithermal.model import (
     DeviceConfig,
     SystemParams,
     diagonalize,
-    validate,
 )
 
 
@@ -147,12 +146,6 @@ class TestConfig:
         assert moved.temperature("w") == 3.0
         assert config.temperature("w") == 2.0  # original untouched
         assert config.with_coupling(0.1).system.g == 0.1
-
-    def test_validate_passthrough(self):
-        config = make_config()
-        assert validate(config) is config
-        with pytest.raises(ConfigError):
-            validate("not a config")
 
 
 class TestDensityMatrix:

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trithermal.model import BathColumns, BathSpec, SystemParams, diagonalize
+from trithermal.model import BathColumns, BathSpec
 from trithermal.rates import (
     SMALL_FREQUENCY_FACTOR,
     FrequencyDomainError,
     bose_occupation,
-    dressed_rates,
     ohmic_spectral_density,
     rate_temperature_slope,
     transition_rates,
@@ -173,13 +172,3 @@ def test_scaled():
     assert pair.up == pytest.approx(0.25 * reference.up)
     assert pair.down == pytest.approx(0.25 * reference.down)
 
-
-def test_dressed_rates_weights():
-    eig = diagonalize(SystemParams(1.0, 0.8, 0.02))
-    bare = transition_rates(eig.omega_2, BATH)
-    cross, strong, weak = dressed_rates(eig.omega_2, BATH, eig)
-    assert cross.down == pytest.approx(eig.f1 * bare.down)
-    assert strong.down == pytest.approx(eig.f2 * bare.down)
-    assert weak.down == pytest.approx(eig.f3 * bare.down)
-    # the two channel weights recompose the bare rate
-    assert strong.down + weak.down == pytest.approx(bare.down)

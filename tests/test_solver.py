@@ -18,12 +18,11 @@ from trithermal.solver import (
     SteadyStateError,
     analytic_diagonal_steady_state,
     default_timestep,
-    detailed_balance_residual,
     evolve,
-    steady_state,
     trajectory_csv,
 )
 
+from reference import detailed_balance_residual, steady_state
 from test_model import make_config
 
 
