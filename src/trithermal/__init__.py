@@ -24,13 +24,7 @@ from .rates import (
     ohmic_spectral_density,
     transition_rates,
 )
-from .generator import (
-    Generator,
-    build_full_secular,
-    build_partial_secular,
-    unvectorize,
-    vectorize,
-)
+from .generator import reduced_partial_secular
 from .solver import (
     StepSizeError,
     SteadyStateError,

@@ -1,14 +1,13 @@
-"""Liouvillian superoperators for the three-level device.
+"""Partial-secular generators of the three-level device, on the closed block.
 
-Two builders are provided: the partial-secular generator for arbitrary inner
-coupling (eigenbasis), and the full-secular Lindblad generator for the
-uncoupled device (bare basis). Both act on the column-stacked vectorization
-of the 3x3 density matrix and keep the per-bath dissipator blocks around so
-heat currents can be evaluated bath by bath.
-
-The partial-secular generator also comes in a reduced form over stacked
-device points: populations and the excited-pair coherence form a closed
-block, and the four ground-excited coherences only decay.
+Each bath's dissipator is written once, as a 9x9 block acting on the
+column-stacked vectorization of the 3x3 density matrix in the eigenbasis.
+Populations and the excited-pair coherence form a closed block, and the
+four ground-excited coherences only decay: ``reduced_partial_secular``
+builds the real 5x5 form of that block for stacked device points, from
+templates taken once from the 9x9 dissipators. It is the package's one
+generator, for steady states and time evolution alike; the whole 9x9
+generators the tests compare it with are in tests/reference.py.
 
 Rate convention: the Lindblad superoperator carries the explicit factor 2,
 L_X(rho) = 2 X rho X^dag - X^dag X rho - rho X^dag X, and the unitary block
@@ -25,52 +24,19 @@ from functools import partial
 import numpy as np
 
 from .model import (
-    BARE,
     BATH_LABELS,
     POINT_COLUMNS,
     BathColumns,
-    ConfigError,
-    DeviceConfig,
     EigenSystem,
-    diagonalize,
     eigensystem,
     point_column,
 )
 from .rates import RatePair, rate_temperature_slope, transition_rates
 
-PARTIAL_SECULAR = "partial_secular"
-FULL_SECULAR = "full_secular"
-
 # vectorization is column stacking: vec(rho)[i + 3*j] = rho[i, j]
 _I11, _I22, _I33 = 0, 4, 8
 _I12, _I13, _I23 = 3, 6, 7
 _I21, _I31, _I32 = 1, 2, 5
-
-
-def vectorize(matrix: np.ndarray) -> np.ndarray:
-    return np.asarray(matrix, dtype=complex).reshape(9, order="F")
-
-
-def unvectorize(vector: np.ndarray) -> np.ndarray:
-    return np.asarray(vector, dtype=complex).reshape((3, 3), order="F")
-
-
-@dataclass(frozen=True)
-class Generator:
-    """9x9 Liouvillian with its unitary and per-bath dissipator blocks."""
-
-    matrix: np.ndarray
-    unitary: np.ndarray
-    dissipators: dict[str, np.ndarray]
-    hamiltonian: np.ndarray
-    basis: str
-    mode: str
-    config: DeviceConfig
-
-    def __post_init__(self):
-        for array in (self.matrix, self.unitary, self.hamiltonian,
-                      *self.dissipators.values()):
-            array.setflags(write=False)
 
 
 def _unitary_block(energies) -> np.ndarray:
@@ -166,28 +132,6 @@ def _channel_weights(eig: EigenSystem, label: str) -> tuple[tuple, tuple]:
             (weight_2, weight_3, eig.f1, eig.f1))
 
 
-def build_partial_secular(config: DeviceConfig) -> Generator:
-    """Partial-secular Redfield generator in the system eigenbasis.
-
-    The interference (cross) terms between the two ground-excited channels
-    are retained, which is what sustains the steady-state coherence between
-    the excited levels.
-    """
-    eig = diagonalize(config.system)
-    blocks = {}
-    for label in BATH_LABELS:
-        bath = config.bath(label)
-        blocks[label] = _BUILDERS[label](*(
-            transition_rates(frequency, bath).scaled(weight)
-            for frequency, weight in zip(*_channel_weights(eig, label))))
-    hamiltonian = np.diag([0.0, eig.omega_2, eig.omega_3]).astype(complex)
-    unitary = _unitary_block((0.0, eig.omega_2, eig.omega_3))
-    matrix = unitary + blocks["h"] + blocks["c"] + blocks["w"]
-    return Generator(matrix=matrix, unitary=unitary, dissipators=blocks,
-                     hamiltonian=hamiltonian, basis="eigen",
-                     mode=PARTIAL_SECULAR, config=config)
-
-
 # the closed block: populations and the excited-pair coherences; the
 # ground-excited coherences rho_12 and rho_13 only decay (rho_21 and rho_31
 # as their conjugates)
@@ -271,13 +215,16 @@ class ReducedGenerators:
 
 
 def reduced_partial_secular(points: np.ndarray) -> ReducedGenerators:
-    """``build_partial_secular`` of every row of stacked device points, on
-    the closed block: the first stage of the package's steady-state path,
-    before solver.reduced_steady_states and observables.current_table.
+    """Partial-secular generator, in the eigenbasis, of every row of
+    stacked device points, on the closed block: the first stage of the
+    package's steady-state path, before solver.reduced_steady_states and
+    observables.current_table, and the generator solver.evolve integrates.
+    The interference (cross) terms between the two ground-excited channels
+    are kept; they sustain the coherence between the excited levels.
 
     The rates of all nine pairs come from one transition_rates call, and
     all blocks from one product of the rate values with templates taken
-    from the 9x9 builders, so the two forms share every coefficient.
+    from the 9x9 block builders, so the two forms share every coefficient.
     """
     n = len(points)
     eig = eigensystem(point_column(points, "omega_a"),
@@ -319,50 +266,3 @@ def reduced_work_slope(points: np.ndarray, eig: EigenSystem) -> np.ndarray:
                          for field in BathColumns._fields))
     slope = rate_temperature_slope(eig.capital_omega, bath)
     return slope[:, None, None] * _REDUCED_WORK_PER_RATE
-
-
-def _lindblad_superop(jump: np.ndarray) -> np.ndarray:
-    """Superoperator of 2 X rho X^dag - X^dag X rho - rho X^dag X."""
-    xdx = jump.conj().T @ jump
-    eye = np.eye(3)
-    return (2.0 * np.kron(jump.conj(), jump)
-            - np.kron(eye, xdx) - np.kron(xdx.T, eye))
-
-
-def _ketbra(i: int, j: int) -> np.ndarray:
-    m = np.zeros((3, 3), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
-def build_full_secular(config: DeviceConfig) -> Generator:
-    """Full-secular Lindblad generator of the uncoupled device (bare basis).
-
-    Three independent two-level dissipators: hot bath on {|1>, |a>} at
-    omega_a, cold bath on {|1>, |b>} at omega_b, work bath on {|b>, |a>} at
-    delta. Populations decouple completely from the coherences.
-    """
-    if config.system.g != 0.0:
-        raise ConfigError("full secular generator requires g=0")
-    omega_a = config.system.omega_a
-    omega_b = config.system.omega_b
-    delta = config.system.delta
-
-    # bare basis order: |1>, |b>, |a>
-    rate_h = transition_rates(omega_a, config.bath("h"))
-    rate_c = transition_rates(omega_b, config.bath("c"))
-    rate_w = transition_rates(delta, config.bath("w"))
-    blocks = {
-        "h": (rate_h.down * _lindblad_superop(_ketbra(0, 2))
-              + rate_h.up * _lindblad_superop(_ketbra(2, 0))),
-        "c": (rate_c.down * _lindblad_superop(_ketbra(0, 1))
-              + rate_c.up * _lindblad_superop(_ketbra(1, 0))),
-        "w": (rate_w.down * _lindblad_superop(_ketbra(1, 2))
-              + rate_w.up * _lindblad_superop(_ketbra(2, 1))),
-    }
-    hamiltonian = np.diag([0.0, omega_b, omega_a]).astype(complex)
-    unitary = _unitary_block((0.0, omega_b, omega_a))
-    matrix = unitary + blocks["h"] + blocks["c"] + blocks["w"]
-    return Generator(matrix=matrix, unitary=unitary, dissipators=blocks,
-                     hamiltonian=hamiltonian, basis=BARE,
-                     mode=FULL_SECULAR, config=config)

@@ -241,9 +241,6 @@ class DensityMatrix:
         """Off-diagonal element between the two excited levels."""
         return complex(self.matrix[1, 2])
 
-    def hermitized(self) -> "DensityMatrix":
-        return DensityMatrix(0.5 * (self.matrix + self.matrix.conj().T), self.basis)
-
     def check(self, herm_tol: float = 1e-12, trace_tol: float = 1e-12,
               eig_floor: float = -1e-8) -> "DensityMatrix":
         """Raise unless Hermitian, unit trace and numerically positive."""

@@ -172,9 +172,9 @@ def current_table(points: np.ndarray, tw_slopes: bool = False) -> CurrentTable:
     """Current reports of the partial-secular steady states of stacked
     device points (rows laid out as model.POINT_COLUMNS), as columns.
 
-    Row i holds, to roundoff, the report of the 9x9 generator
-    ``build_partial_secular(config_i)`` solved and traced directly (the
-    tests' reference path, tests/reference.py), computed on the reduced
+    Row i holds, to roundoff, the report of the 9x9 partial-secular
+    generator of config_i solved and traced directly (the tests'
+    reference path, tests/reference.py), computed on the reduced
     generator BLOCK_POINTS points at a time. A point that fails gets the
     exception the 9x9 path raises as its error.
     """

@@ -33,9 +33,6 @@ class RatePair:
     down: float | np.ndarray
     up: float | np.ndarray
 
-    def scaled(self, factor: float) -> "RatePair":
-        return RatePair(down=factor * self.down, up=factor * self.up)
-
 
 def bose_occupation(omega: float, temperature: float) -> float:
     """Mean occupation of a bath mode, 1 / (e^(w/T) - 1)."""

@@ -1,16 +1,22 @@
-"""Stacked steady states, time evolution, and the diagonal analytic oracle."""
+"""Stacked steady states, time evolution, and the diagonal analytic oracle.
+
+The steady states of stacked device points and the time evolution of one
+point both run on the reduced closed-block generators that
+generator.reduced_partial_secular builds; no 9x9 generator is formed.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BARE, ConfigError, DensityMatrix, DeviceConfig
-from .generator import Generator, ReducedGenerators, unvectorize, vectorize
-from .rates import transition_rates
+from .model import BARE, EIGEN, ConfigError, DensityMatrix, DeviceConfig
+from .generator import ReducedGenerators
+from .rates import FrequencyDomainError, transition_rates
 
 # 80-bit extended precision where the platform provides it (x86 linux does);
 # used only to polish steady states before taking energy traces
@@ -129,74 +135,109 @@ def reduced_steady_states(
     return v[:, :, 0], v_ext[:, :, 0], inverse
 
 
-def default_timestep(generator: Generator) -> float:
-    """Fixed step keeping RK4 stable: 0.01 over the fastest generator scale."""
-    scale = float(np.max(np.abs(np.diag(generator.matrix))))
-    return 0.01 / max(scale, 1e-12)
+def default_timestep(generators: ReducedGenerators) -> float:
+    """Fixed step keeping RK4 stable: 0.01 over the fastest scale of the
+    one point's generator, the largest modulus on the diagonal of its 9x9
+    form. In the real form that diagonal is R[0, 0], R[1, 1], R[2, 2],
+    R[3, 3] + i R[4, 3] at rho_23 and rho_32, and ``decay``."""
+    L = generators.matrix[0]
+    scale = max(np.abs(np.diagonal(L)[:3]).max(), np.hypot(L[3, 3], L[4, 3]),
+                np.abs(generators.decay[0]).max())
+    return 0.01 / max(float(scale), 1e-12)
+
+
+def _density_matrices(states: np.ndarray) -> np.ndarray:
+    """Eigenbasis density matrices, (n, 3, 3), of closed-block states
+    (p1, p2, p3, u, w), (n, 5); rho_12 and rho_13 are 0."""
+    p1, p2, p3, u, w = states.T
+    matrices = np.zeros((len(states), 3, 3), dtype=complex)
+    matrices[:, 0, 0], matrices[:, 1, 1], matrices[:, 2, 2] = p1, p2, p3
+    matrices[:, 1, 2] = u + 1j * w
+    matrices[:, 2, 1] = u - 1j * w
+    return matrices
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled time evolution under a fixed generator."""
+    """Sampled time evolution of one device point: the closed-block states
+    (p1, p2, p3, u, w), rho_23 = u + i w, and the smallest eigenvalue of
+    each sampled density matrix."""
 
-    times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    times: np.ndarray            # (n,)
+    states: np.ndarray           # (n, 5)
+    min_eigenvalues: np.ndarray  # (n,)
     dt: float
     sample_stride: int
-    mode: str
+
+    def matrices(self) -> np.ndarray:
+        return _density_matrices(self.states)
 
     def final(self) -> DensityMatrix:
-        return self.states[-1]
-
-    def min_eigenvalues(self) -> np.ndarray:
-        return np.array([np.min(np.linalg.eigvalsh(s.matrix))
-                         for s in self.states])
+        return DensityMatrix(_density_matrices(self.states[-1:])[0], EIGEN)
 
     def traces(self) -> np.ndarray:
-        return np.array([np.trace(s.matrix).real for s in self.states])
+        return self.states[:, :3].sum(axis=1)
 
 
-def evolve(generator: Generator, rho0: DensityMatrix, t_final: float,
-           dt: float | None = None, sample_stride: int = 1) -> Trajectory:
-    """Fixed-step RK4 integration of the vectorized master equation.
+def evolve(generators: ReducedGenerators, rho0: DensityMatrix,
+           t_final: float, dt: float | None = None,
+           sample_stride: int | None = None) -> Trajectory:
+    """Fixed-step RK4 integration of the partial-secular master equation of
+    one device point, on its closed block.
 
-    The one-step RK4 update of a linear, time-independent system is itself a
-    fixed matrix, so strides of it are applied between stored samples. Each
-    stored sample is Hermitian-symmetrized; the trace is monitored, never
-    renormalized, and drift beyond 1e-6 aborts with a suggested step size.
+    rho0 is an eigenbasis state with rho_12 = rho_13 = 0, as every pure
+    level is. Those coherences only decay, so they stay 0 and the closed
+    block carries the whole state. The one-step RK4 update of a linear,
+    time-independent system is itself a fixed matrix, so strides of it are
+    applied between stored samples, by default about 1000 of them. The
+    trace is monitored, never renormalized, and drift beyond 1e-6 aborts
+    with a suggested step size.
     """
-    if rho0.basis != generator.basis:
+    if len(generators.matrix) != 1:
+        raise ConfigError("evolve integrates the generator of one point")
+    if rho0.basis != EIGEN:
         raise ConfigError("initial state basis does not match the generator")
+    m = rho0.matrix
+    if m[0, 1:].any() or m[1:, 0].any():
+        raise ConfigError("initial state has a nonzero rho_12 or rho_13")
     if dt is None:
-        dt = default_timestep(generator)
+        dt = default_timestep(generators)
     if not dt > 0:
         raise ConfigError("dt must be positive")
+    steps = t_final / dt
+    if not math.isfinite(steps):
+        raise ConfigError("t_final / dt must be a finite number of steps")
+    if sample_stride is None:
+        sample_stride = max(1, int(steps / 1000))
     if sample_stride < 1:
         raise ConfigError("sample_stride must be >= 1")
+    if generators.out_of_domain[0]:
+        raise FrequencyDomainError("transition frequency must be non-negative")
 
-    hL = dt * generator.matrix
-    step = np.eye(9, dtype=complex)
+    hL = dt * generators.matrix[0]
+    step = np.eye(5)
     for order in (4, 3, 2, 1):
-        step = np.eye(9, dtype=complex) + (hL / order) @ step
+        step = np.eye(5) + (hL / order) @ step
     stride_step = np.linalg.matrix_power(step, sample_stride)
 
     n_samples = int(np.ceil(t_final / (dt * sample_stride)))
-    v = vectorize(rho0.matrix)
-    times = [0.0]
-    states = [rho0.hermitized()]
-    for k in range(1, n_samples + 1):
+    v = np.array([m[0, 0].real, m[1, 1].real, m[2, 2].real, m[1, 2].real,
+                  m[1, 2].imag])
+    states = [v]
+    for _ in range(n_samples):
         v = stride_step @ v
-        rho = unvectorize(v)
-        rho = 0.5 * (rho + rho.conj().T)
-        drift = abs(np.trace(rho).real - 1.0)
-        if drift > 1e-6:
+        drift = abs(v[0] + v[1] + v[2] - 1.0)
+        if not drift <= 1e-6:  # NaN too, where the step overflowed
             raise StepSizeError(
                 f"step size too large: trace drift {drift:.3e}; "
                 f"retry with dt <= {dt / 10:.3e}", suggested_dt=dt / 10)
-        times.append(k * dt * sample_stride)
-        states.append(DensityMatrix(rho, generator.basis))
-    return Trajectory(times=np.array(times), states=tuple(states), dt=dt,
-                      sample_stride=sample_stride, mode=generator.mode)
+        states.append(v)
+    states = np.array(states)
+    return Trajectory(
+        times=np.arange(len(states)) * dt * sample_stride, states=states,
+        min_eigenvalues=np.linalg.eigvalsh(_density_matrices(states)).min(
+            axis=1),
+        dt=dt, sample_stride=sample_stride)
 
 
 def analytic_diagonal_steady_state(config: DeviceConfig) -> DensityMatrix:
@@ -231,14 +272,14 @@ def trajectory_csv(trajectory: Trajectory, stream=None) -> str:
             header += [f"re_{i + 1}{j + 1}", f"im_{i + 1}{j + 1}"]
     header += ["min_eigenvalue", "trace"]
     writer.writerow(header)
-    for t, state in zip(trajectory.times, trajectory.states):
-        m = state.matrix
+    for t, m, low, trace in zip(trajectory.times, trajectory.matrices(),
+                                trajectory.min_eigenvalues,
+                                trajectory.traces()):
         row = [f"{t:.17g}"]
         for i in range(3):
             for j in range(3):
                 row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
-        row += [f"{np.min(np.linalg.eigvalsh(m)):.17g}",
-                f"{np.trace(m).real:.17g}"]
+        row += [f"{low:.17g}", f"{trace:.17g}"]
         writer.writerow(row)
     text = buffer.getvalue()
     if stream is not None:

@@ -1,6 +1,9 @@
-"""The 9x9 reference path: the tests' oracle for the stacked engine.
+"""The 9x9 reference path: the tests' oracle for the package's reduced block.
 
-``steady_state`` solves a full 9x9 generator on its own, and
+``build_partial_secular`` builds the whole 9x9 partial-secular generator of
+one device from the package's dissipator blocks, and ``build_full_secular``
+the full-secular Lindblad generator of the uncoupled device from its jump
+operators, independently of those blocks. ``steady_state`` solves a full 9x9 generator on its own, and
 ``steady_state_report`` polishes that state in extended precision and
 takes the energy traces bath by bath. ``closed_form_currents`` evaluates the
 same currents from rates and matrix elements alone, an independent route
@@ -9,29 +12,33 @@ that must agree with the trace route at roundoff level. At g = 0,
 uncoupled channels.
 
 The package computes every current through ``observables.current_table``
-on the reduced block; nothing under src/ imports this module.
+and every trajectory through ``solver.evolve``, both on the reduced block;
+nothing under src/ imports this module.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from trithermal.model import (
     BARE,
+    BATH_LABELS,
     ConfigError,
     DensityMatrix,
     DeviceConfig,
     diagonalize,
 )
 from trithermal.generator import (
-    Generator,
-    unvectorize,
-    vectorize,
+    _BUILDERS,
     _I11,
     _I22,
     _I33,
+    _channel_weights,
+    _unitary_block,
 )
-from trithermal.rates import transition_rates
+from trithermal.rates import RatePair, transition_rates
 from trithermal.solver import SteadyStateError
 from trithermal.observables import (
     CurrentReport,
@@ -39,6 +46,109 @@ from trithermal.observables import (
     carnot_cop,
     entropy_production,
 )
+
+PARTIAL_SECULAR = "partial_secular"
+FULL_SECULAR = "full_secular"
+
+
+def vectorize(matrix: np.ndarray) -> np.ndarray:
+    return np.asarray(matrix, dtype=complex).reshape(9, order="F")
+
+
+def unvectorize(vector: np.ndarray) -> np.ndarray:
+    return np.asarray(vector, dtype=complex).reshape((3, 3), order="F")
+
+
+@dataclass(frozen=True)
+class Generator:
+    """9x9 Liouvillian with its unitary and per-bath dissipator blocks."""
+
+    matrix: np.ndarray
+    unitary: np.ndarray
+    dissipators: dict[str, np.ndarray]
+    hamiltonian: np.ndarray
+    basis: str
+    mode: str
+    config: DeviceConfig
+
+    def __post_init__(self):
+        for array in (self.matrix, self.unitary, self.hamiltonian,
+                      *self.dissipators.values()):
+            array.setflags(write=False)
+
+
+def _scaled(pair: RatePair, factor: float) -> RatePair:
+    return RatePair(down=factor * pair.down, up=factor * pair.up)
+
+
+def build_partial_secular(config: DeviceConfig) -> Generator:
+    """Partial-secular Redfield generator in the system eigenbasis.
+
+    The interference (cross) terms between the two ground-excited channels
+    are retained, which is what sustains the steady-state coherence between
+    the excited levels.
+    """
+    eig = diagonalize(config.system)
+    blocks = {}
+    for label in BATH_LABELS:
+        bath = config.bath(label)
+        blocks[label] = _BUILDERS[label](*(
+            _scaled(transition_rates(frequency, bath), weight)
+            for frequency, weight in zip(*_channel_weights(eig, label))))
+    hamiltonian = np.diag([0.0, eig.omega_2, eig.omega_3]).astype(complex)
+    unitary = _unitary_block((0.0, eig.omega_2, eig.omega_3))
+    matrix = unitary + blocks["h"] + blocks["c"] + blocks["w"]
+    return Generator(matrix=matrix, unitary=unitary, dissipators=blocks,
+                     hamiltonian=hamiltonian, basis="eigen",
+                     mode=PARTIAL_SECULAR, config=config)
+
+
+def _lindblad_superop(jump: np.ndarray) -> np.ndarray:
+    """Superoperator of 2 X rho X^dag - X^dag X rho - rho X^dag X."""
+    xdx = jump.conj().T @ jump
+    eye = np.eye(3)
+    return (2.0 * np.kron(jump.conj(), jump)
+            - np.kron(eye, xdx) - np.kron(xdx.T, eye))
+
+
+def _ketbra(i: int, j: int) -> np.ndarray:
+    m = np.zeros((3, 3), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def build_full_secular(config: DeviceConfig) -> Generator:
+    """Full-secular Lindblad generator of the uncoupled device (bare basis).
+
+    Three independent two-level dissipators: hot bath on {|1>, |a>} at
+    omega_a, cold bath on {|1>, |b>} at omega_b, work bath on {|b>, |a>} at
+    delta. Populations decouple completely from the coherences.
+    """
+    if config.system.g != 0.0:
+        raise ConfigError("full secular generator requires g=0")
+    omega_a = config.system.omega_a
+    omega_b = config.system.omega_b
+    delta = config.system.delta
+
+    # bare basis order: |1>, |b>, |a>
+    rate_h = transition_rates(omega_a, config.bath("h"))
+    rate_c = transition_rates(omega_b, config.bath("c"))
+    rate_w = transition_rates(delta, config.bath("w"))
+    blocks = {
+        "h": (rate_h.down * _lindblad_superop(_ketbra(0, 2))
+              + rate_h.up * _lindblad_superop(_ketbra(2, 0))),
+        "c": (rate_c.down * _lindblad_superop(_ketbra(0, 1))
+              + rate_c.up * _lindblad_superop(_ketbra(1, 0))),
+        "w": (rate_w.down * _lindblad_superop(_ketbra(1, 2))
+              + rate_w.up * _lindblad_superop(_ketbra(2, 1))),
+    }
+    hamiltonian = np.diag([0.0, omega_b, omega_a]).astype(complex)
+    unitary = _unitary_block((0.0, omega_b, omega_a))
+    matrix = unitary + blocks["h"] + blocks["c"] + blocks["w"]
+    return Generator(matrix=matrix, unitary=unitary, dissipators=blocks,
+                     hamiltonian=hamiltonian, basis=BARE,
+                     mode=FULL_SECULAR, config=config)
+
 
 # 80-bit extended precision where the platform provides it (x86 linux does);
 # used only to polish steady states before taking energy traces

@@ -14,6 +14,8 @@ from trithermal.analysis import PhasePoint, phase_map_csv
 from trithermal.cli import load_config, main, parse_bracket, parse_grid
 from trithermal.observables import CurrentReport
 
+from reference import build_full_secular, build_partial_secular
+
 FIG4 = {
     "system": {"omega_a": 1.0, "omega_b": 0.8, "g": 0.02},
     "baths": [
@@ -248,12 +250,20 @@ def test_thermometer_requires_uncoupled(config_path):
     ("--t-final", "nan", "--t-final must be finite"),
     ("--dt", "inf", "--dt must be finite"),
     ("--dt", "nan", "--dt must be finite"),
-    ("--dt", "0", "dt must be positive")])
+    ("--dt", "0", "dt must be positive"),
+    ("--t-final", "-5", "--t-final must be positive"),
+    ("--t-final", "0", "--t-final must be positive"),
+    ("--dt", "1e-320", "t_final / dt must be a finite number of steps"),
+    ("--t-final", "1e10 --dt 1e-300",
+     "t_final / dt must be a finite number of steps"),
+    ("--t-final", "1e10 --dt 1e-300 --stride 5",
+     "t_final / dt must be a finite number of steps")])
 def test_dynamics_rejects_bad_times(config_path, capsys, flag, value,
                                     message):
-    """A config error (exit 1), not a traceback or a one-sample run."""
+    """A config error (exit 1), not a traceback or a one-sample run; a
+    value may carry further flags after it."""
     assert main(["dynamics", "--config", config_path(FIG4),
-                 "--t-final", "200", flag, value]) == 1
+                 "--t-final", "200", flag, *value.split()]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -288,8 +298,10 @@ def test_unknown_command_is_usage_error():
 #: (file under tests/data, argv after --config, exit code) of the FIG4
 #: device, or of the config GOLDEN_CONFIGS names for the file. The grid and
 #: root files hold the CSV each command wrote before grid output came from
-#: the engine's columnar table, the dynamics files the trajectories of the
-#: 9x9 builders that dynamics runs on; none may change a byte
+#: the engine's columnar table. The dynamics files hold the trajectories of
+#: the RK4 on the reduced closed block, which replaced a 9x9 RK4 and sit
+#: no farther from the exact RK4 sequence than its files did
+#: (test_dynamics_golden_matches_extended_rk4); none may change a byte
 GOLDEN = [
     # g past sqrt(omega_a * omega_b) puts omega_2 < 0: failure rows
     ("sweep_g_tw.csv", ["sweep", "--grid", "g=0:1.2:7",
@@ -324,6 +336,59 @@ def test_golden_csv_bytes(config_path, tmp_path, name, argv, code):
     assert main([argv[0], "--config", config_path(document), "--out",
                  str(out)] + argv[1:]) == code
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def _extended_rk4(L, level, t_final):
+    """The dynamics command's RK4 sequence from a pure level under a 9x9
+    generator, with its default step and stride, in extended precision:
+    the sample times and the vectorized states."""
+    dt = 0.01 / np.max(np.abs(np.diag(L)))
+    stride = max(1, int(t_final / dt / 1000))
+    samples = int(np.ceil(t_final / (dt * stride)))
+    hL = (dt * L).astype(np.clongdouble)
+    eye = np.eye(9, dtype=np.clongdouble)
+    step = eye
+    for order in (4, 3, 2, 1):
+        step = eye + (hL / order) @ step
+    stride_step = np.linalg.matrix_power(step, stride)
+    v = np.zeros(9, dtype=np.clongdouble)
+    v[4 * (level - 1)] = 1.0
+    states = [v]
+    for _ in range(samples):
+        v = stride_step @ v
+        states.append(v)
+    return np.arange(samples + 1) * dt * stride, np.array(states)
+
+
+#: (golden file, its 9x9 reference generator, the greatest distance of a
+#: density-matrix entry or min_eigenvalue from the extended-precision RK4
+#: under it). The bounds are the distances of the files the 9x9 RK4 wrote,
+#: 1.34e-12 and 2.08e-13; the reduced RK4's are 9.4e-14 and 2.07e-13.
+GOLDEN_DYNAMICS = [("dynamics_partial.csv", build_partial_secular, 1.3e-12),
+                   ("dynamics_full_g0.csv", build_full_secular, 2.1e-13)]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs a longdouble wider than float64")
+@pytest.mark.parametrize("name, build, bound", GOLDEN_DYNAMICS,
+                         ids=[case[0] for case in GOLDEN_DYNAMICS])
+def test_dynamics_golden_matches_extended_rk4(config_path, name, build,
+                                              bound):
+    """Both golden trajectories (level 2 to t = 200) are the RK4 sequence
+    of the 9x9 reference generator up to roundoff: the same sample times
+    bit for bit, entries within the bound, and a trace column that is the
+    sum of the file's own populations."""
+    config = load_config(config_path(GOLDEN_CONFIGS.get(name, FIG4)))
+    times, states = _extended_rk4(build(config).matrix, 2, 200.0)
+    rows = np.loadtxt(DATA / name, delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], times)
+    # column stacking: vec(rho)[i + 3 j] = rho[i, j]
+    matrices = states.reshape(-1, 3, 3).transpose(0, 2, 1)
+    entries = np.stack([matrices.real, matrices.imag], axis=-1)
+    assert np.max(np.abs(rows[:, 1:19] - entries.reshape(-1, 18))) <= bound
+    lowest = np.linalg.eigvalsh(matrices.astype(complex)).min(axis=1)
+    assert np.max(np.abs(rows[:, 19] - lowest)) <= bound
+    assert np.array_equal(rows[:, 20], rows[:, 1] + rows[:, 9] + rows[:, 17])
 
 
 def test_parser_is_built_once(config_path, capsys):

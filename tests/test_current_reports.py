@@ -17,7 +17,6 @@ from trithermal.generator import (
     _I21,
     _I31,
     _reduce_block,
-    build_partial_secular,
     reduced_partial_secular,
 )
 from trithermal.rates import FrequencyDomainError
@@ -36,7 +35,7 @@ from trithermal.observables import (
     uncoupled_currents,
 )
 
-from reference import steady_state, steady_state_report
+from reference import build_partial_secular, steady_state, steady_state_report
 
 CURRENTS = ("j_h", "j_c", "j_w", "j_c12", "j_c13")
 

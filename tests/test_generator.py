@@ -10,7 +10,9 @@ from trithermal.model import (
     SystemParams,
     diagonalize,
 )
-from trithermal.generator import (
+from trithermal.rates import transition_rates
+
+from reference import (
     FULL_SECULAR,
     PARTIAL_SECULAR,
     build_full_secular,
@@ -18,8 +20,6 @@ from trithermal.generator import (
     unvectorize,
     vectorize,
 )
-from trithermal.rates import transition_rates
-
 from test_model import make_config
 
 

@@ -177,13 +177,6 @@ class TestDensityMatrix:
         with pytest.raises(ConfigError, match="negative"):
             DensityMatrix.from_populations([1.2, -0.2, 0.0], EIGEN).check()
 
-    def test_hermitized(self):
-        m = np.eye(3, dtype=complex) / 3
-        m[1, 2] = 0.05 + 0.02j
-        rho = DensityMatrix(m, EIGEN).hermitized()
-        assert np.allclose(rho.matrix, rho.matrix.conj().T)
-        rho.check()
-
     def test_matrix_is_frozen(self):
         rho = DensityMatrix.pure(1, EIGEN)
         with pytest.raises(ValueError):

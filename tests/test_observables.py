@@ -10,7 +10,6 @@ from trithermal.model import (
     SystemParams,
     diagonalize,
 )
-from trithermal.generator import build_full_secular, build_partial_secular
 from trithermal.rates import transition_rates
 from trithermal.observables import (
     CurrentReport,
@@ -22,6 +21,8 @@ from trithermal.observables import (
 )
 
 from reference import (
+    build_full_secular,
+    build_partial_secular,
     closed_form_currents,
     heat_current_trace,
     steady_state,

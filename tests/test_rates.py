@@ -165,10 +165,3 @@ def test_temperature_slope_arrays_match_scalars():
     assert slopes.tolist() == [rate_temperature_slope(w, BATH)
                                for w in omega.tolist()]
 
-
-def test_scaled():
-    pair = transition_rates(1.0, BATH).scaled(0.25)
-    reference = transition_rates(1.0, BATH)
-    assert pair.up == pytest.approx(0.25 * reference.up)
-    assert pair.down == pytest.approx(0.25 * reference.down)
-

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from trithermal.model import (
@@ -11,8 +12,10 @@ from trithermal.model import (
     DeviceConfig,
     SystemParams,
     diagonalize,
+    stack_points,
 )
-from trithermal.generator import build_full_secular, build_partial_secular, vectorize
+from trithermal.generator import reduced_partial_secular
+from trithermal.rates import FrequencyDomainError
 from trithermal.solver import (
     StepSizeError,
     SteadyStateError,
@@ -22,8 +25,20 @@ from trithermal.solver import (
     trajectory_csv,
 )
 
-from reference import detailed_balance_residual, steady_state
+from reference import (
+    build_full_secular,
+    build_partial_secular,
+    detailed_balance_residual,
+    steady_state,
+    vectorize,
+)
+from test_current_reports import devices
 from test_model import make_config
+
+
+def reduced(config):
+    """The package's generator of one device, as evolve takes it."""
+    return reduced_partial_secular(stack_points([config]))
 
 
 class TestSteadyState:
@@ -96,33 +111,34 @@ class TestAnalyticOracle:
 
 class TestEvolve:
     def test_relaxes_to_steady_state(self):
-        gen = build_partial_secular(make_config())
-        trajectory = evolve(gen, DensityMatrix.pure(1, EIGEN), 2000.0,
-                            sample_stride=200)
-        target = steady_state(gen)
+        config = make_config()
+        trajectory = evolve(reduced(config), DensityMatrix.pure(1, EIGEN),
+                            2000.0, sample_stride=200)
+        target = steady_state(build_partial_secular(config))
         assert np.max(np.abs(trajectory.final().matrix - target.matrix)) < 1e-8
 
     def test_steady_state_is_fixed_point(self):
-        gen = build_partial_secular(make_config())
-        rho = steady_state(gen)
-        trajectory = evolve(gen, rho, 50.0, sample_stride=100)
+        config = make_config()
+        rho = steady_state(build_partial_secular(config))
+        trajectory = evolve(reduced(config), rho, 50.0, sample_stride=100)
         assert np.max(np.abs(trajectory.final().matrix - rho.matrix)) < 1e-12
 
     def test_trace_conserved(self):
-        gen = build_partial_secular(make_config())
-        trajectory = evolve(gen, DensityMatrix.pure(2, EIGEN), 200.0,
+        trajectory = evolve(reduced(make_config()),
+                            DensityMatrix.pure(2, EIGEN), 200.0,
                             sample_stride=50)
         assert np.max(np.abs(trajectory.traces() - 1.0)) < 1e-9
 
     def test_fourth_order_accuracy(self):
         """Halving the step cuts the error against expm by about 2^4."""
-        gen = build_partial_secular(make_config())
+        config = make_config()
         rho0 = DensityMatrix.pure(2, EIGEN)
         t = 5.0
-        exact = expm(t * gen.matrix) @ vectorize(rho0.matrix)
+        exact = (expm(t * build_partial_secular(config).matrix)
+                 @ vectorize(rho0.matrix))
 
         def error(dt):
-            final = evolve(gen, rho0, t, dt=dt,
+            final = evolve(reduced(config), rho0, t, dt=dt,
                            sample_stride=int(round(t / dt))).final()
             return np.max(np.abs(vectorize(final.matrix) - exact))
 
@@ -130,31 +146,88 @@ class TestEvolve:
         assert 10.0 < ratio < 22.0
 
     def test_large_step_raises(self):
-        gen = build_partial_secular(make_config())
         with pytest.raises(StepSizeError) as info:
-            evolve(gen, DensityMatrix.pure(1, EIGEN), 1e5, dt=600.0)
+            evolve(reduced(make_config()), DensityMatrix.pure(1, EIGEN), 1e5,
+                   dt=600.0)
         assert info.value.suggested_dt == pytest.approx(60.0)
 
+    def test_overflowing_step_raises(self):
+        """A step whose RK4 update overflows gives a NaN trace, which is
+        drift too, not a LinAlgError from the eigenvalues of NaN states."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepSizeError, match="drift nan"):
+                evolve(reduced(make_config()), DensityMatrix.pure(1, EIGEN),
+                       200.0, dt=1e300)
+
     def test_argument_validation(self):
-        gen = build_partial_secular(make_config())
+        gen = reduced(make_config())
+        pure = DensityMatrix.pure(1, EIGEN)
         with pytest.raises(ConfigError):
             evolve(gen, DensityMatrix.pure(1, BARE), 1.0)
         with pytest.raises(ConfigError):
-            evolve(gen, DensityMatrix.pure(1, EIGEN), 1.0, dt=-0.1)
+            evolve(gen, pure, 1.0, dt=-0.1)
         with pytest.raises(ConfigError):
-            evolve(gen, DensityMatrix.pure(1, EIGEN), 1.0, sample_stride=0)
+            evolve(gen, pure, 1.0, sample_stride=0)
+        # t_final / dt beyond the float range, with or without a stride
+        for stride in (None, 5):
+            with pytest.raises(ConfigError, match="finite number of steps"):
+                evolve(gen, pure, 1e10, dt=1e-300, sample_stride=stride)
+        # the closed block cannot carry rho_12 or rho_13
+        for entry in ((0, 1), (0, 2), (1, 0), (2, 0)):
+            m = np.eye(3, dtype=complex) / 3
+            m[entry] = 0.1j
+            with pytest.raises(ConfigError, match="rho_12 or rho_13"):
+                evolve(gen, DensityMatrix(m, EIGEN), 1.0)
+        with pytest.raises(ConfigError, match="one point"):
+            evolve(reduced_partial_secular(stack_points([make_config()] * 2)),
+                   pure, 1.0)
+        # omega_2 < 0 is outside the rates' domain, as for the 9x9 builder
+        with pytest.raises(FrequencyDomainError):
+            evolve(reduced(make_config(g=1.2)), pure, 1.0)
 
     def test_default_timestep_scale(self):
-        gen = build_partial_secular(make_config())
-        dt = default_timestep(gen)
-        assert dt == pytest.approx(
-            0.01 / np.max(np.abs(np.diag(gen.matrix))))
+        config = make_config()
+        dt = default_timestep(reduced(config))
+        assert dt == pytest.approx(0.01 / np.max(np.abs(np.diag(
+            build_partial_secular(config).matrix))))
+
+
+#: bound on the error of a sample of the reduced RK4 trajectory against
+#: the exponential of the 9x9 generator, per RK4 step taken to reach it.
+#: Measured over 2442 trajectory-generator pairs (600 random devices in
+#: the ranges of ``devices``, a quarter at g = 0 and 15% of each draw at
+#: either end of its range, each pure level, t = 1 to 500, default step):
+#: at most 6.9e-15 per step, where the RK4 truncation of the fast rho_23
+#: rotation dominates (t <= 20), and 2.6e-16 by t = 200
+EXPM_ERROR_PER_STEP = 2e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(devices(g=st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
+       st.sampled_from([1, 2, 3]), st.floats(1.0, 500.0))
+def test_matches_the_9x9_exponential(config, level, t_final):
+    """Each pure level's reduced trajectory against expm(t L) of the 9x9
+    partial-secular generator, and at g = 0 of the Lindblad generator
+    built from jump operators."""
+    rho0 = DensityMatrix.pure(level, EIGEN)
+    trajectory = evolve(reduced(config), rho0, t_final)
+    references = [build_partial_secular(config).matrix]
+    if config.system.g == 0.0:
+        references.append(build_full_secular(config).matrix)
+    matrices = trajectory.matrices()
+    samples = np.unique(np.linspace(0, len(trajectory.times) - 1, 6)
+                        .astype(int))
+    for k in samples:
+        t = trajectory.times[k]
+        bound = EXPM_ERROR_PER_STEP * max(t / trajectory.dt, 1.0)
+        for L in references:
+            exact = expm(t * L) @ vectorize(rho0.matrix)
+            assert np.max(np.abs(vectorize(matrices[k]) - exact)) <= bound
 
 
 def test_trajectory_csv_shape():
-    gen = build_partial_secular(make_config())
-    trajectory = evolve(gen, DensityMatrix.pure(3, EIGEN), 10.0,
-                        sample_stride=100)
+    trajectory = evolve(reduced(make_config()), DensityMatrix.pure(3, EIGEN),
+                        10.0, sample_stride=100)
     lines = trajectory_csv(trajectory).strip().split("\n")
     header = lines[0].split(",")
     assert header[0] == "t"
