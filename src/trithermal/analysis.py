@@ -7,6 +7,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,17 @@ VALVE_TOLERANCE = 1e-9
 #: work current's increment
 AMPLIFIER_RESPONSE_FLOOR = 5e-8
 
-#: thermometer ladder rungs solved per engine call; an engine call costs
-#: about as much as 15 more points in it
-_LADDER_CHUNK = 8
+#: points of the first engine call of a root search, uniform in 1 / T_w
+#: from the low end up to the high end: over a valve bracket, and over the
+#: thermometer's range
+_BRACKET_PROBES = 9
+_RANGE_PROBES = 17
+
+#: half-width, relative to T_w, of the three points each later step of a
+#: root search interpolates through: wide enough that the currents'
+#: roundoff barely moves the interpolated root, and narrow enough that
+#: from an iterate 1e-5 off, relative, the next is 1e-13 off or closer
+_SPREAD = 1e-6
 
 
 class BracketError(ValueError):
@@ -108,13 +117,6 @@ def _checked(report: CurrentReport | Exception) -> CurrentReport:
     return report
 
 
-def _reports_at(row: np.ndarray, temperatures) -> list:
-    """current_reports of the stacked points ``row`` with T_w set to each
-    of the given temperatures, which the caller has checked, in one call;
-    temperature-major order."""
-    return current_reports(_points_at(row, temperatures))
-
-
 def _points_at(row: np.ndarray, temperatures) -> np.ndarray:
     """The stacked points ``row`` with T_w set to each temperature in turn."""
     stacked = np.repeat(row[None], len(temperatures), axis=0)
@@ -128,94 +130,203 @@ def find_current_zero(config: DeviceConfig, which: str,
                       rel_tol: float = 1e-10) -> float:
     """T_w at which the selected steady-state current vanishes.
 
-    Brent's method: the two bracket ends are solved in one call, then every
-    step re-solves the full steady state at one point. The current changes
-    sign (or is exactly 0) within rel_tol * hi / 2 of the returned T_w, or
-    a few ulp if rel_tol is below the float spacing. Only a single sign
-    change is assumed; callers narrow the bracket if several roots are
-    expected.
+    The first engine call solves _BRACKET_PROBES points from lo up to hi,
+    uniform in 1 / T_w, ends included. From the first sign change going
+    up, safeguarded interpolation steps of one call each find the root,
+    typically in three (see _sign_change). The current changes sign (or
+    is exactly 0) within rel_tol * hi / 2 of the returned T_w, or a few
+    ulp if rel_tol is below the float spacing; the root is then polished
+    to the precision of the currents. The current must change sign
+    between the bracket ends; where it changes sign more than once, the
+    lowest sign change the probes resolve is taken.
     """
     return _current_zero(config, which, bracket, rel_tol)[0]
 
 
 def _current_zero(config: DeviceConfig, which: str,
-                  bracket: tuple[float, float],
-                  rel_tol: float = 1e-10) -> tuple[float, CurrentReport]:
-    """find_current_zero's T_w, and the current report there that the
-    search has solved."""
+                  bracket: tuple[float, float], rel_tol: float = 1e-10,
+                  probe: float = 1.0) -> tuple[float, CurrentReport]:
+    """find_current_zero's T_w, and the current report at T_w * probe,
+    which the search solves alongside its steps."""
     if which not in ("h", "c", "w"):
         raise ConfigError(f"unknown current selector {which!r}")
     lo, hi = bracket
     if not 0 < lo < hi < math.inf:
         raise ConfigError("bracket must satisfy 0 < lo < hi < inf")
-    field = f"j_{which}"
-    reports = {t_w: _checked(report) for t_w, report in
-               zip((lo, hi), _reports_at(stack_points([config]), (lo, hi)))}
-
-    def current(t_w: float) -> float:
-        reports[t_w] = currents_at(config, t_w)
-        return getattr(reports[t_w], field)
-    t_w = _zero_in_bracket(current, which, lo, getattr(reports[lo], field),
-                           hi, getattr(reports[hi], field), rel_tol)
-    return t_w, reports[t_w]
-
-
-def _zero_in_bracket(current, which: str, lo: float, f_lo: float, hi: float,
-                     f_hi: float, rel_tol: float) -> float:
-    """Zero of ``current`` over [lo, hi], given its values at both ends.
-
-    Brent's method (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4): inverse quadratic interpolation or a secant
-    step, and a bisection step whenever these would not shrink the bracket
-    fast enough. It stops once the bracket [b, c] around the sign change is
-    no longer than rel_tol * max(b, c) / 2, or 4 ulp if that is more, and
-    returns its end b with the smaller |current|.
-    """
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+    if not rel_tol >= 0:
+        raise ConfigError("rel_tol must be non-negative")
+    config.with_bath_temperature("w", lo)  # the model's check of 1 / lo
+    row = stack_points([config])
+    samples = _samples(row, which, _probe_grid(lo, hi, _BRACKET_PROBES))
+    ends = samples[0], samples[-1]
+    for end in ends:
+        _checked(end.report)
+    if 0.0 not in (ends[0].j, ends[1].j) and not _changes(*ends):
         raise BracketError(f"no working point in bracket: J_{which} does not "
                            f"change sign over [{lo}, {hi}]")
-    # b is the latest estimate and a the one before; the sign change lies
-    # between b and c; step and prev are the last two steps
-    a, f_a, b, f_b = lo, f_lo, hi, f_hi
-    c, f_c = a, f_a
-    step = prev = b - a
+    return _sign_change(config, row, which, samples, rel_tol, probe)
+
+
+class _Sample(NamedTuple):
+    """A solved T_w: the selected current, or None where the solve failed,
+    and the report or its exception."""
+
+    t_w: float
+    j: float | None
+    report: CurrentReport | Exception
+
+
+def _probe_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n temperatures from lo up to hi, uniform in 1 / T_w; the ends exact."""
+    grid = [1.0 / u for u in np.linspace(1.0 / lo, 1.0 / hi, n).tolist()]
+    grid[0], grid[-1] = lo, hi
+    return grid
+
+
+def _samples(row: np.ndarray, which: str, temperatures) -> list[_Sample]:
+    """The stacked point ``row`` solved at each temperature, which the
+    caller has checked, in one engine call."""
+    reports = current_reports(_points_at(row, temperatures))
+    return [_Sample(t_w, None if isinstance(report, Exception)
+                    else getattr(report, f"j_{which}"), report)
+            for t_w, report in zip(temperatures, reports)]
+
+
+def _changes(low: _Sample, high: _Sample) -> bool:
+    """Whether the current changes sign from ``low`` to ``high``; a failed
+    ``high`` counts as a change, which the search resolves or raises."""
+    return high.j is None or (math.copysign(1.0, low.j)
+                              != math.copysign(1.0, high.j))
+
+
+def _interpolated_root(samples: list[_Sample]) -> float:
+    """T_w at J = 0 of the polynomial u(J) through the samples, u = 1 /
+    T_w (Lagrange's formula), or NaN where two of them have the same J."""
+    u = 0.0
+    for a in samples:
+        term = 1.0 / a.t_w
+        for b in samples:
+            if b is not a:
+                if b.j == a.j:
+                    return math.nan
+                term *= b.j / (b.j - a.j)
+        u += term
+    return 1.0 / u if u else math.nan
+
+
+def _secant_slope(low: _Sample, high: _Sample) -> float:
+    """dJ/dT_w between two solved samples."""
+    return (high.j - low.j) / (high.t_w - low.t_w)
+
+
+def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
+                 samples: list[_Sample], rel_tol: float,
+                 probe: float = 1.0) -> tuple[float, CurrentReport] | None:
+    """(T_w, report at T_w * probe) at the first sign change of J_which
+    going up the solved ``samples``, or None if J keeps its sign.
+
+    The walk up the samples raises the first failure it meets before a
+    sign change. A failed sample right after a good one bounds the search
+    instead, and raises only if the sign change is not below it.
+
+    The search keeps a bracket [lo, hi] around the sign change. Each step
+    interpolates u = 1 / T_w as a polynomial in J, in which the currents
+    are nearly linear near a root: the first through the samples, two on
+    either side of the sign change, each later one through the last
+    iterate x and x +- _SPREAD * x. It bisects in u where a step leaves the
+    bracket, or is not below half the step before last, or there is none:
+    the safeguards of "rtsafe" (Press et al., Numerical Recipes, sec.
+    9.4). Each step is one engine call that solves x, x +- d, d =
+    max(rel_tol * hi / 4, 2 ulp), x +- _SPREAD * x and, if probe != 1,
+    x * probe; the bracket then shrinks to the pair around the sign
+    change. Once J changes sign across x +- d, or is exactly 0 there, x is
+    returned, unless Newton's step from x, on the secant slope across the
+    iterate, moves it within that pair: then that point is solved and
+    returned instead, so that the root is as precise as the currents. A
+    bracket no wider than 2 d ends the search at its end with the smaller
+    |J|. Either way J changes sign within rel_tol * hi / 2 of the returned
+    T_w.
+    """
+    lo = None
+    for k, hi in enumerate(samples):
+        if hi.j is None and lo is None:
+            raise hi.report
+        if hi.j == 0.0:
+            return hi.t_w, _report_at(config, hi, probe, [])
+        if lo is not None and _changes(lo, hi):
+            break
+        lo = hi
+    else:
+        return None
+
+    def solve(temperatures: list[float], x: float):
+        """Samples at the temperatures, and at x * probe if probe != 1."""
+        extra = ([x * probe] if probe != 1.0 and math.isfinite(x * probe)
+                 else [])
+        solved = _samples(row, which, temperatures + extra)
+        return solved[:len(temperatures)], solved[len(temperatures):]
+
+    base = lo if hi.j is None or abs(lo.j) <= abs(hi.j) else hi
+    t_next = _interpolated_root([sample for sample
+                                 in samples[max(k - 2, 0):k + 2]
+                                 if sample.j is not None])
+    step = prev = 1.0 / lo.t_w - 1.0 / hi.t_w
     while True:
-        if abs(f_c) < abs(f_b):
-            a, f_a, b, f_b, c, f_c = b, f_b, c, f_c, b, f_b
-        top = max(b, c)
-        tol = max(0.25 * rel_tol * top, 2.0 * math.ulp(top))
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or f_b == 0.0:
-            return b
-        if abs(prev) >= tol and abs(f_a) > abs(f_b):
-            s = f_b / f_a
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic interpolation through a, b, c
-                q, r = f_a / f_c, f_b / f_c
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            # accept a step that stays well inside the bracket and is less
-            # than half the step before last; otherwise bisect
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(prev * q)):
-                prev, step = step, p / q
-            else:
-                prev = step = m
+        delta = max(0.25 * rel_tol * hi.t_w, 2.0 * math.ulp(hi.t_w))
+        if hi.t_w - lo.t_w <= 2.0 * delta:
+            if hi.j is None:
+                raise hi.report
+            end = lo if abs(lo.j) <= abs(hi.j) else hi
+            return end.t_w, _report_at(config, end, probe, [])
+        du = (1.0 / base.t_w - 1.0 / t_next if lo.t_w < t_next < hi.t_w
+              else math.inf)
+        if abs(du) < 0.5 * abs(prev):
+            prev, step, x = step, du, t_next
         else:
-            prev = step = m
-        a, f_a = b, f_b
-        b += step if abs(step) > tol else math.copysign(tol, m)
-        f_b = current(b)
-        if math.copysign(1.0, f_b) == math.copysign(1.0, f_c):
-            c, f_c = a, f_a
-            step = prev = b - a
+            u_lo, u_hi = 1.0 / lo.t_w, 1.0 / hi.t_w
+            prev, step = step, 0.5 * (u_lo - u_hi)
+            x = 1.0 / (u_hi + step)
+            if not lo.t_w < x < hi.t_w:
+                x = lo.t_w + 0.5 * (hi.t_w - lo.t_w)
+        spread = max(_SPREAD * x, 2.0 * delta)
+        points, extra = solve([t_w for t_w in (x - spread, x - delta, x,
+                                               x + delta, x + spread)
+                               if lo.t_w < t_w < hi.t_w], x)
+        for point in points:
+            if point.j is None:
+                raise point.report
+        base = next(point for point in points if point.t_w == x)
+        zero = next((point for point in points if point.j == 0.0), None)
+        if zero is not None:
+            return zero.t_w, _report_at(config, zero, probe,
+                                        extra if zero is base else [])
+        ordered = [lo, *points, hi]
+        lo, hi = next((low, high) for low, high in zip(ordered, ordered[1:])
+                      if _changes(low, high))
+        if hi.j is None or lo.t_w < x - delta or hi.t_w > x + delta:
+            nodes = {point.t_w: point for point in (points[0], base,
+                                                    points[-1])}
+            t_next = _interpolated_root(list(nodes.values()))
+            continue
+        # J changes sign across x +- d; Newton's step rounds once
+        slope = (_secant_slope(points[0], points[-1]) if len(points) > 1
+                 else 0.0)
+        polished = x - base.j / slope if slope else x
+        if not (lo.t_w <= polished <= hi.t_w and polished != x):
+            return x, _report_at(config, base, probe, extra)
+        points, extra = solve([polished], polished)
+        return polished, _report_at(config, points[0], probe, extra)
+
+
+def _report_at(config: DeviceConfig, sample: _Sample, probe: float,
+               extra: list[_Sample]) -> CurrentReport:
+    """The report at sample.t_w * probe: the sample's own, the one solved
+    with it in ``extra``, or one more solve."""
+    if probe == 1.0:
+        return _checked(sample.report)
+    if extra:
+        return _checked(extra[0].report)
+    return currents_at(config, sample.t_w * probe)
 
 
 def equilibrium_tw(omega_a: float, omega_b: float, t_h: float,
@@ -259,19 +370,32 @@ def measure_temperature(config: DeviceConfig, tw_max_factor: float = 1e3,
                         rel_tol: float = 1e-10) -> ThermometerReading:
     """Simulated thermometer protocol for the uncoupled device.
 
-    The control temperature climbs the ladder T_w = T_h * 1.1^k, up to
-    tw_max_factor * T_h, until the conductor current J_h changes sign; its
-    zero on that last rung is then found by Brent's method, as in
-    find_current_zero. The config's cold-bath temperature plays the hidden
-    sample temperature; the reading must reproduce it.
+    The control temperature rises from T_h to tw_max_factor * T_h until
+    the conductor current J_h changes sign. The first engine call solves
+    _RANGE_PROBES points of that range, uniform in 1 / T_w; the zero at
+    the first sign change going up is then found as in find_current_zero,
+    with tw_max_factor * T_h as hi. A failed solve below that sign change
+    raises. The config's cold-bath temperature plays the hidden sample
+    temperature; the reading must reproduce it.
     """
     if config.system.g != 0.0:
         raise ConfigError("the thermometer protocol requires g=0")
     t_h = config.temperature("h")
     xi = config.system.omega_b / config.system.omega_a
-    lo, f_lo, hi, f_hi = _ladder_bracket(config, tw_max_factor * t_h)
-    tw_star = _zero_in_bracket(lambda t_w: currents_at(config, t_w).j_h,
-                               "h", lo, f_lo, hi, f_hi, rel_tol)
+    t_w_max = tw_max_factor * t_h
+    if not t_w_max > t_h:
+        raise ConfigError("tw_max_factor must exceed 1")
+    if not rel_tol >= 0:
+        raise ConfigError("rel_tol must be non-negative")
+    config.with_bath_temperature("w", t_w_max)  # the model's check
+    row = stack_points([config])
+    samples = _samples(row, "h", _probe_grid(t_h, t_w_max, _RANGE_PROBES))
+    found = _sign_change(config, row, "h", samples, rel_tol)
+    if found is None:
+        raise MeasurementRangeError(
+            "sample below measurable range: J_h kept its sign up to "
+            f"Tw = {t_w_max:g}")
+    tw_star = found[0]
     tc_estimate = tc_from_tw(tw_star, t_h, xi)
     return ThermometerReading(
         tw_star=tw_star,
@@ -279,34 +403,6 @@ def measure_temperature(config: DeviceConfig, tw_max_factor: float = 1e3,
         sensitivity=sensitivity(tc_estimate, t_h, xi),
         in_range=tc_estimate > xi * t_h,
     )
-
-
-def _ladder_bracket(config: DeviceConfig,
-                    t_w_max: float) -> tuple[float, float, float, float]:
-    """(lo, J_h(lo), hi, J_h(hi)) of the first rung (lo, hi = 1.1 lo) of
-    the thermometer ladder over which J_h changes sign, or which starts at
-    J_h = 0.
-
-    The rungs T_h, T_h * 1.1, ... up to t_w_max are solved _LADDER_CHUNK
-    per engine call and walked in order, so the walk is that of one solve
-    per rung: a rung's failure raises only once the walk reaches it.
-    """
-    rungs = [config.temperature("h")]
-    while (rung := rungs[-1] * 1.1) <= t_w_max and math.isfinite(rung):
-        rungs.append(rung)
-    row = stack_points([config])
-    lo = f_lo = None
-    for start in range(0, len(rungs), _LADDER_CHUNK):
-        chunk = rungs[start:start + _LADDER_CHUNK]
-        for hi, report in zip(chunk, _reports_at(row, chunk)):
-            f_hi = _checked(report).j_h
-            if lo is not None and (f_lo == 0.0 or math.copysign(1.0, f_hi)
-                                   != math.copysign(1.0, f_lo)):
-                return lo, f_lo, hi, f_hi
-            lo, f_lo = hi, f_hi
-    raise MeasurementRangeError(
-        "sample below measurable range: J_h kept its sign up to "
-        f"Tw = {t_w_max:g}")
 
 
 def amplification_factor(config: DeviceConfig, t_w: float,
@@ -326,7 +422,7 @@ def amplification_factor(config: DeviceConfig, t_w: float,
 def _response_ratio(response: CurrentResponse, t_w: float,
                     scale: float | None = None) -> float:
     """|d_jc / d_jw|; ``scale`` is the report's current_scale, if known."""
-    report, d_jc, d_jw = response
+    report, d_jc, d_jw = response.report, response.d_jc, response.d_jw
     if scale is None:
         scale = current_scale(report.j_h, report.j_c, report.j_w)
     if abs(d_jw) * max(1.0, t_w) < AMPLIFIER_RESPONSE_FLOOR * scale:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .model import EIGEN, BathSpec, ConfigError, DensityMatrix, DeviceConfig, SystemParams, point_column, stack_points
 from .generator import reduced_partial_secular
+from .rates import FrequencyDomainError
 from .solver import SteadyStateError, StepSizeError, evolve, trajectory_csv
 from .observables import CurrentReport, UndefinedObservableError, csv_fields, current_table
 from .analysis import (
@@ -32,8 +33,6 @@ from .analysis import (
     MeasurementRangeError,
     SweepGrid,
     amplification_factor,
-    currents_at,
-    find_current_zero,
     measure_temperature,
     phase_map,
     phase_map_csv,
@@ -42,7 +41,11 @@ from .analysis import (
 
 _NUMERICAL_ERRORS = (SteadyStateError, StepSizeError, BracketError,
                      MeasurementRangeError, AmplifierUndefinedError,
-                     UndefinedObservableError)
+                     UndefinedObservableError, FrequencyDomainError)
+
+
+#: the refrigerator's CSV row sits at the cooling-window onset times this
+_REFRIGERATOR_PROBE = 1.0 + 1e-6
 
 
 class _UsageError(Exception):
@@ -204,10 +207,11 @@ def cmd_valve(args) -> int:
 def cmd_refrigerator(args) -> int:
     config = load_config(args.config)
     bracket = parse_bracket(args.bracket)
-    onset = find_current_zero(config, "c", bracket)
-    # COP at the onset is a 0/0 limit; probe just inside the cooling window
-    probe = onset * (1.0 + 1e-6)
-    report = currents_at(config, probe)
+    # COP at the onset is a 0/0 limit; probe just inside the cooling
+    # window, at a point the search solves with its last step
+    onset, report = _current_zero(config, "c", bracket,
+                                  probe=_REFRIGERATOR_PROBE)
+    probe = onset * _REFRIGERATOR_PROBE
     text, _ = _sweep_csv([(probe, config.system.g)], [report.values()],
                          [None])
     _emit(text, args.out)

@@ -124,9 +124,10 @@ def _cop_or_none(j_c: float, j_w: float) -> float | None:
 
 
 class CurrentResponse(NamedTuple):
-    """A current report with the derivatives of J_c and J_w in T_w."""
+    """A current report with the derivatives of J_h, J_c and J_w in T_w."""
 
     report: CurrentReport
+    d_jh: float
     d_jc: float
     d_jw: float
 
@@ -137,8 +138,8 @@ class CurrentTable(NamedTuple):
     ``values`` is (N, 9), in CurrentReport field order, with NaN in the cop
     column where the COP is undefined. ``errors`` holds, per point, None
     or the exception raised in place of its report; the values of a failed
-    point are meaningless. With T_w slopes, ``slopes`` is (N, 2): the
-    exact derivatives of J_c and J_w in the work-bath temperature.
+    point are meaningless. With T_w slopes, ``slopes`` is (N, 3): the
+    exact derivatives of J_h, J_c and J_w in the work-bath temperature.
     """
 
     values: np.ndarray
@@ -180,7 +181,7 @@ def current_table(points: np.ndarray, tw_slopes: bool = False) -> CurrentTable:
     """
     n = len(points)
     table = CurrentTable(np.empty((n, 9)), [],
-                         np.empty((n, 2)) if tw_slopes else None)
+                         np.empty((n, 3)) if tw_slopes else None)
     for start in range(0, n, BLOCK_POINTS):
         block = slice(start, start + BLOCK_POINTS)
         table.errors.extend(_block_table(
@@ -192,8 +193,8 @@ def current_table(points: np.ndarray, tw_slopes: bool = False) -> CurrentTable:
 def current_reports(points: np.ndarray, tw_slopes: bool = False) -> list:
     """Per point, the CurrentReport of ``current_table(points)``, or the
     exception in its place. With ``tw_slopes``, each report comes as a
-    CurrentResponse that adds the exact derivatives of J_c and J_w in the
-    work-bath temperature."""
+    CurrentResponse that adds the exact derivatives of J_h, J_c and J_w in
+    the work-bath temperature."""
     return current_table(points, tw_slopes).reports()
 
 
@@ -252,22 +253,24 @@ def _block_table(points: np.ndarray, values: np.ndarray,
 
 def _tw_slopes(points: np.ndarray, generators: ReducedGenerators,
                v: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """(dJ_c/dT_w, dJ_w/dT_w) of the stacked steady states v, (N, 2).
+    """(dJ_h/dT_w, dJ_c/dT_w, dJ_w/dT_w) of the stacked steady states v,
+    (N, 3).
 
     Implicit differentiation of the bordered system A v = e_1: only the
     work-bath dissipator D_w depends on T_w and the trace row does not, so
     dv = -A^-1 dA v, where dA is its derivative dD_w with row 0 set to 0;
     ``inverse`` holds A^-1. The currents are energy-weighted population
-    rows, so dJ_c = E . D_c dv and dJ_w = E . (D_w dv + dD_w v).
+    rows, so dJ_h = E . D_h dv, dJ_c = E . D_c dv and
+    dJ_w = E . (D_w dv + dD_w v).
     """
     d_work = reduced_work_slope(points, generators.eig)
     d_work_v = d_work @ v[:, :, None]
     d_bordered_v = d_work_v.copy()
     d_bordered_v[:, 0] = 0.0
     dv = -(inverse @ d_bordered_v)
-    # rows of the cold and work baths' flows, in BATH_LABELS order
-    flows = generators.dissipators[:, 1:] @ dv[:, None]
-    flows[:, 1] += d_work_v
+    # rows of the three baths' flows, in BATH_LABELS order
+    flows = generators.dissipators @ dv[:, None]
+    flows[:, 2] += d_work_v
     energies = np.array([generators.eig.omega_2, generators.eig.omega_3]).T
     return (flows[:, :, 1:3, 0] * energies[:, None, :]).sum(axis=2)
 

@@ -22,6 +22,9 @@ from .rates import FrequencyDomainError, transition_rates
 # used only to polish steady states before taking energy traces
 _EXTENDED = np.longdouble
 
+#: most samples a trajectory holds; each is a 5-vector and a density matrix
+MAX_SAMPLES = 10 ** 6
+
 
 class SteadyStateError(RuntimeError):
     """The generator does not have a unique, solvable steady state."""
@@ -191,7 +194,8 @@ def evolve(generators: ReducedGenerators, rho0: DensityMatrix,
     time-independent system is itself a fixed matrix, so strides of it are
     applied between stored samples, by default about 1000 of them. The
     trace is monitored, never renormalized, and drift beyond 1e-6 aborts
-    with a suggested step size.
+    with a suggested step size. More than MAX_SAMPLES samples are refused
+    before anything is allocated.
     """
     if len(generators.matrix) != 1:
         raise ConfigError("evolve integrates the generator of one point")
@@ -211,6 +215,10 @@ def evolve(generators: ReducedGenerators, rho0: DensityMatrix,
         sample_stride = max(1, int(steps / 1000))
     if sample_stride < 1:
         raise ConfigError("sample_stride must be >= 1")
+    n_samples = math.ceil(t_final / (dt * sample_stride))
+    if n_samples > MAX_SAMPLES:
+        raise ConfigError(f"{n_samples} samples exceed the limit of "
+                          f"{MAX_SAMPLES}; raise dt or the sample stride")
     if generators.out_of_domain[0]:
         raise FrequencyDomainError("transition frequency must be non-negative")
 
@@ -220,7 +228,6 @@ def evolve(generators: ReducedGenerators, rho0: DensityMatrix,
         step = np.eye(5) + (hL / order) @ step
     stride_step = np.linalg.matrix_power(step, sample_stride)
 
-    n_samples = int(np.ceil(t_final / (dt * sample_stride)))
     v = np.array([m[0, 0].real, m[1, 1].real, m[2, 2].real, m[1, 2].real,
                   m[1, 2].imag])
     states = [v]

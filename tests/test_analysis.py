@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
+from scipy.optimize import brentq
 
 import trithermal.analysis as analysis
 import trithermal.observables as observables
@@ -41,6 +42,7 @@ from trithermal.analysis import (
     tc_from_tw,
 )
 
+from reference import build_partial_secular, steady_state, steady_state_report
 from test_model import make_config
 
 
@@ -138,6 +140,73 @@ def test_root_contract(config, which):
         assert root == pytest.approx(expected, rel=1e-9, abs=0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(operating_devices(st.just(0.0) | st.floats(0.0, 0.05,
+                                                  exclude_min=True)),
+       st.sampled_from(["c", "h", "thermometer"]))
+def test_roots_agree_with_brentq(config, which):
+    """Valve roots over the g = 0 bracket of test_root_contract, and the
+    thermometer's reading at g = 0, are within rel_tol * hi of the zero
+    scipy's brentq finds over the same range."""
+    if which == "thermometer":
+        config = config.with_coupling(0.0)
+        lo, hi, field = 1.0, 1e3, "j_h"
+        root = measure_temperature(config).tw_star
+    else:
+        expected = equilibrium_tw(1.0, config.system.omega_b, 1.0,
+                                  config.temperature("c"))
+        lo, hi, field = 0.5 * expected, 3.0 * expected, f"j_{which}"
+        try:
+            root = find_current_zero(config, which, (lo, hi))
+        except BracketError:
+            ends = [getattr(currents_at(config, t_w), field)
+                    for t_w in (lo, hi)]
+            assert math.copysign(1.0, ends[0]) == math.copysign(1.0, ends[1])
+            return
+    expected = brentq(lambda t_w: getattr(currents_at(config, t_w), field),
+                      lo, hi, xtol=1e-16, rtol=1e-15)
+    assert abs(root - expected) <= 1e-10 * hi
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 0.0])
+@pytest.mark.parametrize("bad", ["nan", "zero", "wrong-way"])
+def test_search_without_usable_steps(monkeypatch, engine_calls, rel_tol,
+                                     bad):
+    """With every interpolated step NaN, of length 0 or in the wrong
+    direction, and the polishing Newton step's slope NaN, 0 or of the wrong
+    sign, the search bisects in u = 1 / T_w. It still returns a certified
+    root, within one call for the probe grid, one per halving of the
+    grid's spacing down to a bracket of 2 d, and one for the polish."""
+    interpolated, secant = analysis._interpolated_root, analysis._secant_slope
+
+    def step(samples):
+        pivot = min(samples, key=lambda sample: abs(sample.j)).t_w
+        return {"nan": math.nan, "zero": pivot,
+                "wrong-way": 2.0 * pivot - interpolated(samples)}[bad]
+
+    def slope(low, high):
+        return {"nan": math.nan, "zero": 0.0,
+                "wrong-way": -secant(low, high)}[bad]
+    monkeypatch.setattr(analysis, "_interpolated_root", step)
+    monkeypatch.setattr(analysis, "_secant_slope", slope)
+    config = make_config()
+    lo, hi = 1.0, 5.0
+    root = find_current_zero(config, "c", (lo, hi), rel_tol)
+    spacing = (1.0 / lo - 1.0 / hi) / (analysis._BRACKET_PROBES - 1)
+    d = max(0.25 * rel_tol * root, 2.0 * math.ulp(root))
+    assert len(engine_calls) <= 2 + math.ceil(
+        math.log2(spacing * hi ** 2 / (2.0 * d)))
+    monkeypatch.undo()
+    assert root == pytest.approx(find_current_zero(config, "c", (lo, hi)),
+                                 rel=1e-10)
+    if rel_tol:
+        radius = rel_tol * hi / 2 * (1 + 1e-6)
+        below, at, above = (currents_at(config, t_w).j_c
+                            for t_w in (root - radius, root, root + radius))
+        assert at == 0.0 or math.copysign(1.0, below) != math.copysign(
+            1.0, above)
+
+
 @pytest.fixture
 def engine_calls(monkeypatch):
     """Sizes of the current_reports calls the analyses make."""
@@ -152,8 +221,20 @@ def engine_calls(monkeypatch):
 
 def test_root_engine_calls(engine_calls):
     find_current_zero(make_config(), "c", (1.0, 5.0))
-    assert engine_calls[0] == 2  # both bracket ends in one call
-    assert len(engine_calls) <= 14
+    # the probe grid, bracket ends included, in one call
+    assert engine_calls[0] == analysis._BRACKET_PROBES
+    assert len(engine_calls) <= 5
+
+
+def config_file(config, path):
+    """``path``, holding ``config`` as the command line reads it."""
+    path.write_text(json.dumps({
+        "system": {"omega_a": config.system.omega_a,
+                   "omega_b": config.system.omega_b, "g": config.system.g},
+        "baths": [{"label": b.label, "temperature": b.temperature,
+                   "gamma": b.gamma, "cutoff": b.cutoff}
+                  for b in config.baths]}))
+    return path
 
 
 def test_valve_reuses_the_report_at_its_root(engine_calls, tmp_path,
@@ -166,13 +247,7 @@ def test_valve_reuses_the_report_at_its_root(engine_calls, tmp_path,
     t_w = find_current_zero(config, "c", (1.0, 5.0))
     search = len(engine_calls)
     engine_calls.clear()
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({
-        "system": {"omega_a": config.system.omega_a,
-                   "omega_b": config.system.omega_b, "g": config.system.g},
-        "baths": [{"label": b.label, "temperature": b.temperature,
-                   "gamma": b.gamma, "cutoff": b.cutoff}
-                  for b in config.baths]}))
+    path = config_file(config, tmp_path / "config.json")
     assert main(["valve", "--config", str(path), "--bracket", "1:5"]) == 0
     assert len(engine_calls) == search
     row = capsys.readouterr().out.split("\n")[1].split(",")
@@ -180,9 +255,28 @@ def test_valve_reuses_the_report_at_its_root(engine_calls, tmp_path,
     assert row[2:11] == currents_at(config, t_w).csv_row(t_w, 0.02)[2:]
 
 
+def test_refrigerator_reuses_the_report_at_its_probe(engine_calls,
+                                                     tmp_path, capsys):
+    """The refrigerator's CSV row, at the onset times 1 + 1e-6, is solved
+    with the search's last step; the whole answer takes at most 5 calls."""
+    from trithermal.cli import main
+
+    config = make_config()
+    path = config_file(config, tmp_path / "config.json")
+    assert main(["refrigerator", "--config", str(path),
+                 "--bracket", "1:5"]) == 0
+    assert len(engine_calls) <= 5
+    onset = find_current_zero(config, "c", (1.0, 5.0))
+    probe = onset * (1.0 + 1e-6)
+    row = capsys.readouterr().out.split("\n")[1].split(",")
+    assert float(row[0]) == probe
+    assert row[2:11] == currents_at(config, probe).csv_row(probe, 0.02)[2:]
+
+
 def test_thermometer_engine_calls(engine_calls):
     measure_temperature(thermometer_config(0.7))
-    assert len(engine_calls) <= 12
+    assert engine_calls[0] == analysis._RANGE_PROBES
+    assert len(engine_calls) <= 5
 
 
 def test_only_the_amplifier_takes_derivatives(monkeypatch):
@@ -199,7 +293,8 @@ def test_only_the_amplifier_takes_derivatives(monkeypatch):
 
 
 def reference_walk(config, t_w_max):
-    """The thermometer ladder with one solve per rung."""
+    """The thermometer ladder T_h * 1.1^k with one solve per rung: the
+    first rung over which J_h changes sign, or None."""
     lo = config.temperature("h")
     f_lo = currents_at(config, lo).j_h
     hi = lo
@@ -216,21 +311,27 @@ def reference_walk(config, t_w_max):
 
 @pytest.mark.parametrize("t_c, t_w_max", [
     (0.95, 1e3),    # sign change on the second rung
-    (0.7655, 1e3),  # on the last rung of the first chunk
-    (0.75, 1e3),    # on the first rung of the second chunk
-    (0.62, 1e3),    # in the fourth chunk
-    (0.62, 10.0),   # ladder ends inside a chunk before the sign change
+    (0.7655, 1e3),  # on the eighth rung
+    (0.75, 1e3),    # on the ninth rung
+    (0.62, 1e3),    # on the 28th rung
+    (0.62, 10.0),   # the range ends before the sign change
     (0.55, 1e3),    # below the measurable range
 ])
 def test_chunked_ladder_matches_the_scalar_walk(t_c, t_w_max):
+    """measure_temperature gives the reading of the ladder walked one rung
+    per solve, and Brent's method on its rung, or its error text."""
     config = thermometer_config(t_c)
     expected = reference_walk(config, t_w_max)
     if expected is None:
         with pytest.raises(MeasurementRangeError,
                            match=f"kept its sign up to Tw = {t_w_max:g}$"):
-            analysis._ladder_bracket(config, t_w_max)
-    else:
-        assert analysis._ladder_bracket(config, t_w_max) == expected
+            measure_temperature(config, tw_max_factor=t_w_max)
+        return
+    lo, _, hi, _ = expected
+    root = brentq(lambda t_w: currents_at(config, t_w).j_h, lo, hi,
+                  xtol=1e-16, rtol=1e-15)
+    reading = measure_temperature(config, tw_max_factor=t_w_max)
+    assert abs(reading.tw_star - root) <= 1e-10 * hi
 
 
 @pytest.mark.parametrize("failing, fails", [
@@ -420,14 +521,39 @@ def assert_matches_central_differences(config, t_w, rel=1e-6):
         assert alpha == pytest.approx(abs(d_jc / d_jw), rel=rel, abs=0)
 
 
-# criterion 10's two devices, and the points of the TestPhaseMap grids
-@pytest.mark.parametrize("g, t_w", [
+#: criterion 10's two devices, and the points of the TestPhaseMap grids
+SLOPE_POINTS = [
     (0.05, 6.0), (0.2, 6.0),
     (0.02, 3.4), (0.02, 3.6), (0.0, 3.0), (0.05, 3.0), (0.0, 4.0),
     (0.05, 4.0), (0.2, 3.0), (0.0, 6.0), (0.0, 0.5), (0.02, 0.5),
-])
+]
+
+
+@pytest.mark.parametrize("g, t_w", SLOPE_POINTS)
 def test_exact_derivative_matches_central_differences(g, t_w):
     assert_matches_central_differences(make_config(g=g), t_w)
+
+
+def reference_j_h(config, t_w):
+    """J_h of the 9x9 partial-secular reference path at T_w."""
+    generator = build_partial_secular(config.with_bath_temperature("w", t_w))
+    return steady_state_report(generator, steady_state(generator)).j_h
+
+
+@pytest.mark.parametrize("g, t_w", SLOPE_POINTS)
+def test_hot_slope_matches_the_reference(g, t_w):
+    """dJ_h/dT_w against central differences of the 9x9 reference, with
+    the steps of assert_matches_central_differences; the three slopes sum
+    to 0 with the currents (the first law)."""
+    config = make_config(g=g)
+    response = exact_slopes(config, t_w)
+    h = 1e-5 * max(1.0, t_w)
+    for step in (h, h / 2):
+        d_jh = (reference_j_h(config, t_w + step)
+                - reference_j_h(config, t_w - step)) / (2 * step)
+        assert response.d_jh == pytest.approx(d_jh, rel=1e-6, abs=0)
+    slopes = (response.d_jh, response.d_jc, response.d_jw)
+    assert abs(sum(slopes)) <= 1e-12 * max(map(abs, slopes))
 
 
 @settings(max_examples=60, deadline=None)

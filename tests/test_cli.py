@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import trithermal.cli as cli
-from trithermal.analysis import PhasePoint, phase_map_csv
+from trithermal.analysis import PhasePoint, currents_at, phase_map_csv
 from trithermal.cli import load_config, main, parse_bracket, parse_grid
 from trithermal.observables import CurrentReport
 
@@ -257,7 +257,10 @@ def test_thermometer_requires_uncoupled(config_path):
     ("--t-final", "1e10 --dt 1e-300",
      "t_final / dt must be a finite number of steps"),
     ("--t-final", "1e10 --dt 1e-300 --stride 5",
-     "t_final / dt must be a finite number of steps")])
+     "t_final / dt must be a finite number of steps"),
+    ("--t-final", "1e9 --dt 1 --stride 1",
+     "1000000000 samples exceed the limit of 1000000; "
+     "raise dt or the sample stride")])
 def test_dynamics_rejects_bad_times(config_path, capsys, flag, value,
                                     message):
     """A config error (exit 1), not a traceback or a one-sample run; a
@@ -265,6 +268,26 @@ def test_dynamics_rejects_bad_times(config_path, capsys, flag, value,
     assert main(["dynamics", "--config", config_path(FIG4),
                  "--t-final", "200", flag, *value.split()]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+#: a command and its flags that solve the device at some T_w
+SOLVING_COMMANDS = [["valve", "--bracket", "1:5"],
+                    ["refrigerator", "--bracket", "1:5"],
+                    ["amplifier", "--tw", "3"],
+                    ["dynamics", "--t-final", "10"]]
+
+
+@pytest.mark.parametrize("argv", SOLVING_COMMANDS,
+                         ids=[argv[0] for argv in SOLVING_COMMANDS])
+def test_negative_transition_frequency_is_a_numerical_failure(
+        config_path, capsys, argv):
+    """g past sqrt(omega_a omega_b) puts omega_2 < 0: exit 2 with the
+    error sweep writes on its failure rows, not a traceback."""
+    document = {**FIG4, "system": {**FIG4["system"], "g": 1.2}}
+    assert main([argv[0], "--config", config_path(document)]
+                + argv[1:]) == 2
+    assert capsys.readouterr().err == (
+        "error: transition frequency must be non-negative\n")
 
 
 def test_dynamics_positivity_column(config_path, capsys):
@@ -296,12 +319,15 @@ def test_unknown_command_is_usage_error():
 
 
 #: (file under tests/data, argv after --config, exit code) of the FIG4
-#: device, or of the config GOLDEN_CONFIGS names for the file. The grid and
-#: root files hold the CSV each command wrote before grid output came from
-#: the engine's columnar table. The dynamics files hold the trajectories of
-#: the RK4 on the reduced closed block, which replaced a 9x9 RK4 and sit
-#: no farther from the exact RK4 sequence than its files did
-#: (test_dynamics_golden_matches_extended_rk4); none may change a byte
+#: device, or of the config GOLDEN_CONFIGS names for the file. The grid
+#: files and valve_h.csv hold the CSV each command wrote before grid output
+#: came from the engine's columnar table. valve_c.csv and refrigerator.csv
+#: hold the roots of the search that replaced Brent's method, one ulp from
+#: Brent's (test_root_goldens_stay_at_the_recorded_roots). The dynamics
+#: files hold the trajectories of the RK4 on the reduced closed block,
+#: which replaced a 9x9 RK4 and sit no farther from the exact RK4 sequence
+#: than its files did (test_dynamics_golden_matches_extended_rk4); none
+#: may change a byte
 GOLDEN = [
     # g past sqrt(omega_a * omega_b) puts omega_2 < 0: failure rows
     ("sweep_g_tw.csv", ["sweep", "--grid", "g=0:1.2:7",
@@ -336,6 +362,27 @@ def test_golden_csv_bytes(config_path, tmp_path, name, argv, code):
     assert main([argv[0], "--config", config_path(document), "--out",
                  str(out)] + argv[1:]) == code
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+#: T_w of the root files as Brent's method recorded them; the root search
+#: that replaced it moved both by one ulp
+RECORDED_ROOTS = {"valve_c.csv": 3.5239507299155011,
+                  "refrigerator.csv": 3.5239542538662305}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_ROOTS))
+def test_root_goldens_stay_at_the_recorded_roots(config_path, name):
+    """Each re-recorded root file holds a T_w within 1e-12 relative of the
+    recorded one, and J_c changes sign within rel_tol * hi / 2 of the root
+    (for the refrigerator, of the onset its row is 1 + 1e-6 above)."""
+    t_w = float(read_rows((DATA / name).read_text())[0]["Tw"])
+    assert t_w == pytest.approx(RECORDED_ROOTS[name], rel=1e-12, abs=0)
+    root = t_w if name == "valve_c.csv" else t_w / (1.0 + 1e-6)
+    config = load_config(config_path(FIG4))
+    radius = 1e-10 * 5.0 / 2
+    below, above = (currents_at(config, t).j_c
+                    for t in (root - radius, root + radius))
+    assert math.copysign(1.0, below) != math.copysign(1.0, above)
 
 
 def _extended_rk4(L, level, t_final):

@@ -237,7 +237,7 @@ def test_tables_with_slopes_match_the_reports():
     configs = [device(0.8, g, (1.0, 0.85, 3.0)) for g in (0.0, 0.02, 1.0)]
     table = current_table(stack_points(configs), tw_slopes=True)
     responses = current_reports(stack_points(configs), tw_slopes=True)
-    assert table.slopes.shape == (3, 2)
+    assert table.slopes.shape == (3, 3)
     assert table.reports()[:2] == responses[:2]
     assert isinstance(responses[2], FrequencyDomainError)
-    assert responses[1].d_jc == table.slopes[1, 0]
+    assert responses[1][1:] == tuple(table.slopes[1])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+import trithermal.solver as solver
 from trithermal.model import (
     BARE,
     EIGEN,
@@ -158,6 +159,18 @@ class TestEvolve:
             with pytest.raises(StepSizeError, match="drift nan"):
                 evolve(reduced(make_config()), DensityMatrix.pure(1, EIGEN),
                        200.0, dt=1e300)
+
+    def test_sample_count_is_capped(self, monkeypatch):
+        """A run of more than MAX_SAMPLES samples is refused before
+        anything is integrated; one of exactly MAX_SAMPLES runs."""
+        monkeypatch.setattr(solver, "MAX_SAMPLES", 10)
+        gen = reduced(make_config())
+        pure = DensityMatrix.pure(1, EIGEN)
+        assert len(evolve(gen, pure, 20.0, dt=1.0,
+                          sample_stride=2).times) == 11
+        with pytest.raises(ConfigError, match="11 samples exceed the limit "
+                                              "of 10"):
+            evolve(gen, pure, 21.0, dt=1.0, sample_stride=2)
 
     def test_argument_validation(self):
         gen = reduced(make_config())
