@@ -66,6 +66,8 @@ class SweepGrid:
     def __post_init__(self):
         if self.variable not in ("Tw", "Th", "Tc", "g"):
             raise ConfigError(f"unknown sweep variable {self.variable!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError("sweep grid ends must be finite")
         if not self.start < self.stop:
             raise ConfigError("sweep grid needs start < stop")
         if self.points < 2:

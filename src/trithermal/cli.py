@@ -47,6 +47,10 @@ _NUMERICAL_ERRORS = (SteadyStateError, StepSizeError, BracketError,
 #: the refrigerator's CSV row sits at the cooling-window onset times this
 _REFRIGERATOR_PROBE = 1.0 + 1e-6
 
+#: most points a sweep or phase map evaluates; a sweep holds ~1.2 kB of
+#: memory per point
+MAX_GRID_POINTS = 10 ** 6
+
 
 class _UsageError(Exception):
     """Bad flags or malformed config; maps to exit code 1."""
@@ -135,8 +139,22 @@ def parse_bracket(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_grid_size(grids: list[SweepGrid]) -> None:
+    """Refuse grids of more than MAX_GRID_POINTS points in all, before
+    anything is allocated."""
+    size = math.prod(grid.points for grid in grids)
+    if size > MAX_GRID_POINTS:
+        raise ConfigError(f"{size} grid points exceed the limit of "
+                          f"{MAX_GRID_POINTS}")
+
+
 def _grid_points(config: DeviceConfig, grids: list[SweepGrid]) -> np.ndarray:
-    """Stacked points of the (possibly nested) grid, outer grid first."""
+    """Stacked points of the (possibly nested) grid, outer grid first; each
+    grid must scan its own variable."""
+    variables = [grid.variable for grid in grids]
+    if len(set(variables)) < len(variables):
+        raise _UsageError("sweep needs a different variable in each --grid")
+    _check_grid_size(grids)
     points = stack_points([config])
     for grid in grids:
         points = grid.expand(config, points)
@@ -273,6 +291,7 @@ def cmd_phase_map(args) -> int:
     by_var = {g.variable: g for g in parsed}
     if set(by_var) != {"Tw", "g"} or len(parsed) != 2:
         raise _UsageError("phase-map needs exactly --grid Tw=... and --grid g=...")
+    _check_grid_size(parsed)
     points = phase_map(config, by_var["Tw"].values(), by_var["g"].values())
     _emit(phase_map_csv(points), args.out)
     failures = sum(1 for p in points if p.function_class == "error")

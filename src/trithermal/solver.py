@@ -49,12 +49,82 @@ _STAND_IN = -np.eye(5)
 #: the complex closed block
 _ORTHONORMAL = np.outer([1.0, 1.0, 1.0, 2 ** 0.5, 2 ** 0.5],
                         [1.0, 1.0, 1.0, 2 ** -0.5, 2 ** -0.5])
+#: a singular value of the 9x9 generator below this fraction of the largest
+#: counts towards its null space
+_NULL_THRESHOLD = 1e-10
+#: factor by which the bounds of _certified must clear that threshold,
+#: covering the roundoff of the computed inverse and of the SVD
+_MARGIN = 4.0
 
 
 def _bordered(L: np.ndarray) -> np.ndarray:
     A = L.copy()
     A[:, 0, :] = _TRACE_ROW
     return A
+
+
+def _inverses(A: np.ndarray) -> np.ndarray:
+    """Inverses of stacked matrices, with NaN in place of those of singular
+    ones, where one singular matrix makes np.linalg.inv fail as a whole.
+    slogdet finds them without raising, by their sign 0: it runs the same
+    LU factorization that inv does. Should inv fail even so, every inverse
+    is NaN."""
+    singular = np.linalg.slogdet(A)[0] == 0
+    try:
+        inverse = np.linalg.inv(np.where(singular[:, None, None], _STAND_IN,
+                                         A))
+    except np.linalg.LinAlgError:
+        return np.full_like(A, math.nan)
+    inverse[singular] = math.nan
+    return inverse
+
+
+def _refined(A: np.ndarray, inverse: np.ndarray,
+             L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions v of A v = e_1 after one step of refinement, and the
+    largest entry of |L v| of each."""
+    v = inverse[:, :, :1]
+    v = v - inverse @ (A @ v - _UNIT_TRACE)
+    return v, np.abs(L @ v).max(axis=(1, 2))
+
+
+def _null_dims(L: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """Null-space dimension of the 9x9 generators of stacked closed blocks
+    L, by the SVD: their spectrum is that of the closed block plus the
+    moduli ``decay`` of the decaying coherences, twice each."""
+    spectrum = np.concatenate(
+        [np.linalg.svd(L * _ORTHONORMAL, compute_uv=False), decay, decay],
+        axis=1)
+    return (spectrum < _NULL_THRESHOLD * spectrum.max(axis=1, keepdims=True)
+            ).sum(axis=1)
+
+
+def _certified(scale: np.ndarray, decay: np.ndarray, inverse: np.ndarray,
+               v: np.ndarray, residual_max: np.ndarray) -> np.ndarray:
+    """Points whose _null_dims is 1 by bounds from their bordered solve.
+
+    S = D L D^-1 is the closed block in the orthonormal scaling, and
+    ``scale`` is max(max |L|, max ``decay``). The largest value M of the
+    9x9 spectrum lies between scale / sqrt 2 and 5 sqrt 2 scale, as
+    max |L| / sqrt 2 <= max |S| <= sigma_1(S) <= ||S||_F <= 5 sqrt 2 max |L|.
+    The bordered matrix A differs from L in one row, so singular values
+    interlace (R. C. Thompson, Linear Algebra Appl. 13, 69, 1976), and
+    sigma_4(S) >= sigma_min(D A D^-1) >= 1 / ||D A^-1 D^-1||_F
+    >= 1 / (sqrt 2 ||A^-1||_F). The refined solution v gives
+    sigma_5(S) <= ||D L v|| / ||D v|| <= sqrt 10 max |L v| / max |v|,
+    ``residual_max`` being max |L v|. A point is certified when the
+    null-space threshold separates sigma_5 from sigma_4 and from every
+    decay rate, each by the factor _MARGIN.
+
+    NaN fails every comparison, so a point whose inverse holds inf or NaN
+    is not certified; callers hold np.errstate(all="ignore"), as such an
+    inverse may overflow.
+    """
+    top = _MARGIN * _NULL_THRESHOLD * 5 * 2 ** 0.5 * scale
+    gap = np.minimum(decay.min(axis=1),
+                     (2 * np.einsum("nij,nij->n", inverse, inverse)) ** -0.5)
+    null = 10 ** 0.5 * _MARGIN * residual_max / np.abs(v).max(axis=(1, 2))
+    return (gap > top) & (null < _NULL_THRESHOLD * 2 ** -0.5 * scale)
 
 
 def reduced_steady_states(
@@ -65,11 +135,15 @@ def reduced_steady_states(
     The steps of the tests' 9x9 reference solve (tests/reference.py) point
     by point: the rank check over the spectrum of the full 9x9 generator,
     the bordered solve with one step of refinement, and the residual check.
-    Two further refinement steps with residuals in extended precision
-    follow, summing the bath blocks there, so that energy traces of the
-    polished states keep the first law well below the double-precision
-    roundoff of the generator. The four solves share one inverse of each
-    5x5 bordered matrix.
+    The bordered matrices are inverted first, and the rank check of each
+    point is certified from its inverse and the residual of its solve
+    (_certified). Only the points the certificate leaves in doubt get the
+    SVD of _null_dims, and the block is inverted again with the points
+    that SVD rejects stood in for. Two further refinement steps with
+    residuals in extended precision follow, summing the bath blocks there,
+    so that energy traces of the polished states keep the first law well
+    below the double-precision roundoff of the generator. The four solves
+    share one inverse of each 5x5 bordered matrix.
 
     Returns the double-precision states and the polished extended ones,
     (N, 5) each, and the inverses of the bordered matrices, (N, 5, 5), for
@@ -80,47 +154,59 @@ def reduced_steady_states(
     """
     L = generators.matrix
     finite = np.isfinite(L).all(axis=(1, 2))
-    # one stacked factorization fails as a whole on one singular matrix, so
-    # points are masked before it; the 9x9 spectrum is that of the closed
-    # block plus |diagonal| of the decaying coherences, twice each
+    # points with an error or non-finite entries are stood in for before
+    # any factorization, keeping every stack regular
     usable = (finite & [error is None for error in errors] if any(errors)
               else finite)
     # count_nonzero tests a mask at a third of the cost of .all(), which
     # counts in a one-point solve
     if np.count_nonzero(usable) < len(usable):
-        L = np.where(usable[:, None, None], L, _STAND_IN)
-    decay = np.abs(generators.decay)
-    spectrum = np.concatenate(
-        [np.linalg.svd(L * _ORTHONORMAL, compute_uv=False), decay, decay],
-        axis=1)
-    null_dim = (spectrum < 1e-10 * spectrum.max(axis=1, keepdims=True)).sum(
-        axis=1)
-    solvable = usable & (null_dim == 1)
-    if np.count_nonzero(solvable) < len(solvable):
-        for i in np.flatnonzero(~solvable):
+        for i in np.flatnonzero(~usable):
             if errors[i] is None:
                 errors[i] = SteadyStateError(
-                    f"degenerate steady state: null space dimension "
-                    f"{null_dim[i]}" if finite[i] else
                     "steady-state solve failed: generator has non-finite "
                     "entries")
-        L = np.where(solvable[:, None, None], L, _STAND_IN)
-
+        L = np.where(usable[:, None, None], L, _STAND_IN)
+    decay = np.abs(generators.decay)
+    scale = np.maximum(np.abs(L).max(axis=(1, 2)), decay.max(axis=1))
     A = _bordered(L)
-    try:
-        inverse = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        for i in np.flatnonzero(solvable):
-            errors[i] = SteadyStateError(f"steady-state solve failed: {exc}")
-        return (np.zeros((len(L), 5)), np.zeros((len(L), 5), _EXTENDED),
-                np.zeros_like(A))
-    v = inverse[:, :, :1]
-    v = v - inverse @ (A @ v - _UNIT_TRACE)
+    # degenerate points are not masked yet: their inverses may hold inf or
+    # overflow in the products
+    with np.errstate(all="ignore"):
+        try:
+            inverse, regular = np.linalg.inv(A), True
+        except np.linalg.LinAlgError:
+            inverse, regular = _inverses(A), False
+        v, residual_max = _refined(A, inverse, L)
+        doubtful = usable & ~_certified(scale, decay, inverse, v,
+                                        residual_max)
+
+    solvable = usable
+    if np.count_nonzero(doubtful):
+        rows = np.flatnonzero(doubtful)
+        null_dim = _null_dims(L[rows], decay[rows])
+        rejected = null_dim != 1
+        for i, dim in zip(rows[rejected], null_dim[rejected]):
+            errors[i] = SteadyStateError(
+                f"degenerate steady state: null space dimension {dim}")
+        if rejected.any() or not regular:
+            solvable = usable.copy()
+            solvable[rows[rejected]] = False
+            L = np.where(solvable[:, None, None], L, _STAND_IN)
+            A = _bordered(L)
+            try:
+                inverse = np.linalg.inv(A)
+            except np.linalg.LinAlgError as exc:
+                for i in np.flatnonzero(solvable):
+                    errors[i] = SteadyStateError(
+                        f"steady-state solve failed: {exc}")
+                return (np.zeros((len(L), 5)),
+                        np.zeros((len(L), 5), _EXTENDED), np.zeros_like(A))
+            v, residual_max = _refined(A, inverse, L)
 
     # the 9x9 reference's residual check, taken in the real form: entries
     # and residual there are within a factor 2 of the complex ones
-    scale = np.maximum(np.abs(L).max(axis=(1, 2)), decay.max(axis=1))
-    accurate = np.abs(L @ v).max(axis=(1, 2)) <= 1e-12 * scale * 9.0
+    accurate = residual_max <= 1e-12 * scale * 9.0
     if np.count_nonzero(accurate) < len(accurate):
         for i in np.flatnonzero(solvable & ~accurate):
             errors[i] = SteadyStateError(

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import trithermal.cli as cli
-from trithermal.analysis import PhasePoint, currents_at, phase_map_csv
+from trithermal.analysis import (
+    PhasePoint,
+    SweepGrid,
+    currents_at,
+    phase_map_csv,
+)
 from trithermal.cli import load_config, main, parse_bracket, parse_grid
 from trithermal.observables import CurrentReport
 
@@ -312,6 +317,54 @@ def test_phase_map_needs_both_grids(config_path):
     path = config_path(FIG4)
     assert main(["phase-map", "--config", path,
                  "--grid", "Tw=3:4:2"]) == 1
+
+
+#: the two commands that take grids, each with a grid of the other variable
+GRID_COMMANDS = [["sweep", "--grid", "g=0:0.1:2"],
+                 ["phase-map", "--grid", "g=0:0.1:2"]]
+
+
+@pytest.mark.parametrize("argv", GRID_COMMANDS,
+                         ids=[argv[0] for argv in GRID_COMMANDS])
+@pytest.mark.parametrize("spec", ["Tw=1:inf:3", "Tw=-inf:5:3"])
+def test_non_finite_grid_end_is_usage_error(config_path, capsys, argv, spec):
+    """Refused before any array is built, so numpy has nothing to warn
+    about."""
+    assert main([argv[0], "--config", config_path(FIG4), "--grid", spec]
+                + argv[1:]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad --grid {spec!r}: sweep grid ends must be finite\n")
+
+
+def test_repeated_sweep_variable_is_usage_error(config_path, capsys):
+    assert main(["sweep", "--config", config_path(FIG4), "--grid",
+                 "g=0:0.1:3", "--grid", "g=0:0.2:2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: sweep needs a different variable in each --grid\n"
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["sweep", "--grid", "Tw=1:2:11"], 11),
+    (["sweep", "--grid", "g=0:0.1:4", "--grid", "Tw=1:2:3"], 12),
+    (["phase-map", "--grid", "Tw=1:2:4", "--grid", "g=0:0.1:3"], 12),
+], ids=["sweep", "nested-sweep", "phase-map"])
+def test_grid_size_is_capped(config_path, capsys, monkeypatch, argv, size):
+    """More than MAX_GRID_POINTS points in all (patched to 10 here) are a
+    config error, raised before any grid's values are built."""
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+
+    def values(grid):
+        raise AssertionError("grid values built before the size check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SweepGrid, "values", values)
+        assert main([argv[0], "--config", config_path(FIG4)]
+                    + argv[1:]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {size} grid points exceed the limit of 10\n")
+    assert main(["sweep", "--config", config_path(FIG4), "--grid",
+                 "g=0:0.1:5", "--grid", "Tw=1:2:2"]) == 0
 
 
 def test_unknown_command_is_usage_error():

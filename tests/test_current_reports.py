@@ -1,5 +1,7 @@
 """The stacked reduced-block engine against the 9x9 reference path."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,6 +23,7 @@ from trithermal.generator import (
 )
 from trithermal.rates import FrequencyDomainError
 from trithermal.solver import (
+    _ORTHONORMAL,
     analytic_diagonal_steady_state,
     reduced_steady_states,
 )
@@ -167,6 +170,24 @@ def test_a_failing_point_fails_alone(bad):
     assert str(failed) == str(expected)
     assert first == last == one(NORMAL)
     assert isinstance(first, CurrentReport)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.02], ids=["uncoupled", "coupled"])
+def test_only_the_refused_point_reaches_the_svd(g):
+    """The rank of a device without baths is left to the SVD, which sees
+    that one row of the block; its neighbours, certified without it, equal
+    their one-point results bit for bit."""
+    bad = device(0.8, g, (1.0, 0.85, 2.0), gammas=(0.0, 0.0, 0.0))
+    single = one(NORMAL)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        first, failed, last = current_reports(
+            stack_points([NORMAL, bad, NORMAL]))
+    (rows,), _ = svd.call_args
+    expected = reduced_partial_secular(stack_points([bad])).matrix
+    assert svd.call_count == 1
+    assert np.array_equal(rows, expected * _ORTHONORMAL)
+    assert str(failed) == "degenerate steady state: null space dimension 3"
+    assert first == last == single
 
 
 def test_degenerate_message_keeps_the_null_space_dimension():

@@ -13,10 +13,14 @@ import math
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
+from trithermal import solver
 from trithermal.cli import main
+from trithermal.generator import reduced_partial_secular
 from trithermal.model import (
     BathSpec,
     ConfigError,
@@ -69,6 +73,52 @@ def edge_documents(draw, coldest=0.0):
     else:
         system["g"] = draw(st.floats(0.3, 1e3))
     return {"system": system, "baths": baths}
+
+
+def log_uniform(low, high):
+    """Floats spread evenly over the decades from 10**low to 10**high."""
+    return st.floats(low, high).map(lambda exponent: 10.0 ** exponent)
+
+
+@st.composite
+def extreme_documents(draw):
+    """Config documents far outside the operating range: gamma, temperature
+    and cutoff log-uniform over many decades, and g up to 0.99 of the
+    sqrt(omega_a omega_b) where omega_2 reaches 0."""
+    omega_b = draw(st.floats(0.1, 1.0))
+    system = {"omega_a": 1.0, "omega_b": omega_b,
+              "g": draw(st.floats(0.0, 0.99)) * math.sqrt(omega_b)}
+    baths = [{"label": label, "temperature": draw(log_uniform(-3, 3)),
+              "gamma": draw(log_uniform(-8, 1)),
+              "cutoff": draw(log_uniform(-1, 3))} for label in "hcw"]
+    return {"system": system, "baths": baths}
+
+
+def document(omega_b, g, *baths):
+    """Config document of a device with omega_a = 1; ``baths`` are the
+    (temperature, gamma, cutoff) of h, c and w."""
+    return {"system": {"omega_a": 1.0, "omega_b": omega_b, "g": g},
+            "baths": [{"label": label, "temperature": t, "gamma": gamma,
+                       "cutoff": cutoff}
+                      for label, (t, gamma, cutoff) in zip("hcw", baths)]}
+
+
+#: devices whose rank the certificate leaves to the SVD: one without baths
+#: (null space dimension 3), and two extreme draws, whose null space
+#: dimensions are 1 and 2; the fourth singular value of the second is 0.97
+#: of the null-space threshold
+NO_BATHS = document(0.8, 0.0, (1.0, 0.0, 50.0), (0.85, 0.0, 50.0),
+                    (2.0, 0.0, 50.0))
+REFUSED_RANK_1 = document(
+    0.9680152061443216, 0.4766486111767905,
+    (614.149837081629, 6.351658327994879e-08, 23.00615105164133),
+    (0.004282679376753964, 2.3394941905253628e-07, 294.78714169161464),
+    (857.6956346283831, 9.854988939284619, 178.08200639090492))
+REFUSED_RANK_2 = document(
+    0.996313347584628, 0.3791286203775529,
+    (0.008223862224601338, 8.49586733470417e-08, 0.9703189369288909),
+    (0.011721100814012482, 5.2972007249312076e-08, 14.980684620152942),
+    (300.0362816828451, 1.159850585129877, 65.42989654315689))
 
 
 def device(document):
@@ -133,3 +183,33 @@ def test_sweep_exits_with_a_documented_code(document):
         assert code == 2
         assert row["status"] not in ("", "ok")
         assert row["j_h"] == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(edge_documents(coldest=COLDEST) | extreme_documents(),
+                min_size=1, max_size=4))
+@example([NO_BATHS, REFUSED_RANK_1, REFUSED_RANK_2])
+@example([REFUSED_RANK_1])
+def test_certified_rank_agrees_with_the_svd(documents):
+    """A point the engine solves without its SVD has null space dimension
+    1 by that SVD; a point it sends to the SVD gets the SVD's verdict."""
+    points = stack_points([device(document) for document in documents])
+    generators = reduced_partial_secular(points)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        reports = current_reports(points)
+        seen = [row for call in svd.call_args_list for row in call.args[0]]
+    usable = (np.isfinite(generators.matrix).all(axis=(1, 2))
+              & ~generators.out_of_domain)
+    null_dims = solver._null_dims(generators.matrix[usable],
+                                  np.abs(generators.decay[usable]))
+    scaled = generators.matrix * solver._ORTHONORMAL
+    for i, null_dim in zip(np.flatnonzero(usable), null_dims):
+        degenerate = (f"degenerate steady state: null space dimension "
+                      f"{null_dim}")
+        refused = any(np.array_equal(row, scaled[i]) for row in seen)
+        if not refused:
+            assert null_dim == 1
+        if null_dim == 1:
+            assert not str(reports[i]).startswith("degenerate")
+        else:
+            assert str(reports[i]) == degenerate
