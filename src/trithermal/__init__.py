@@ -49,6 +49,7 @@ from .analysis import (
     AmplifierUndefinedError,
     BracketError,
     MeasurementRangeError,
+    PhaseMap,
     PhasePoint,
     SweepGrid,
     ThermometerReading,

@@ -3,7 +3,6 @@ amplification factor, phase maps, and the thermometer protocol."""
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -15,9 +14,11 @@ from .model import POINT_COLUMNS, ConfigError, DeviceConfig, stack_points
 from .observables import (
     CurrentReport,
     CurrentResponse,
-    csv_fields,
+    CurrentTable,
     current_reports,
     current_scale,
+    current_table,
+    write_grid_csv,
 )
 
 #: |J_c| below this fraction of the current scale classifies as a valve point
@@ -421,12 +422,10 @@ def amplification_factor(config: DeviceConfig, t_w: float,
     return _response_ratio(_checked(response), t_w)
 
 
-def _response_ratio(response: CurrentResponse, t_w: float,
-                    scale: float | None = None) -> float:
-    """|d_jc / d_jw|; ``scale`` is the report's current_scale, if known."""
+def _response_ratio(response: CurrentResponse, t_w: float) -> float:
+    """|d_jc / d_jw|."""
     report, d_jc, d_jw = response.report, response.d_jc, response.d_jw
-    if scale is None:
-        scale = current_scale(report.j_h, report.j_c, report.j_w)
+    scale = current_scale(report.j_h, report.j_c, report.j_w)
     if abs(d_jw) * max(1.0, t_w) < AMPLIFIER_RESPONSE_FLOOR * scale:
         raise AmplifierUndefinedError("amplifier factor undefined here: "
                                       "work current does not respond to Tw")
@@ -446,82 +445,131 @@ class PhasePoint:
     error: str = ""
 
 
-def classify_function(report: CurrentReport,
-                      scale: float | None = None) -> str:
-    """Valve, refrigerator or heater; ``scale`` is the report's
-    current_scale, if known."""
-    if scale is None:
-        scale = current_scale(report.j_h, report.j_c, report.j_w)
+def classify_function(report: CurrentReport) -> str:
+    """Valve, refrigerator or heater."""
+    scale = current_scale(report.j_h, report.j_c, report.j_w)
     if abs(report.j_c) < VALVE_TOLERANCE * scale:
         return "valve"
     return "refrigerator" if report.j_c > 0 else "heater"
 
 
-def phase_map(config: DeviceConfig, tw_values,
-              g_values) -> list[PhasePoint]:
+#: amplifier classes of the points with an amplification factor
+_ALPHA_CLASSES = ("amplifier", "contraction")
+
+
+@dataclass(frozen=True)
+class PhaseMap:
+    """The thermal-function phase map of a (T_w, g) grid, as columns.
+
+    Point i sits at (t_w[i], g[i]). ``table`` holds its currents with
+    their T_w slopes and, in its errors, the exception of a point that
+    failed or whose T_w the model rejected; both of its classes read
+    "error" there. alpha_j[i] is meaningful where the amplifier class is
+    "amplifier" or "contraction".
+    """
+
+    t_w: np.ndarray
+    g: np.ndarray
+    table: CurrentTable
+    alpha_j: np.ndarray
+    function_class: np.ndarray
+    amplifier_class: np.ndarray
+
+    def points(self) -> list[PhasePoint]:
+        """The map as one PhasePoint per grid point."""
+        return [PhasePoint(t_w, g, None if failed else report,
+                           alpha if amplifier in _ALPHA_CLASSES else None,
+                           function, amplifier, str(report) if failed else "")
+                for t_w, g, report, failed, alpha, function, amplifier in zip(
+                    self.t_w.tolist(), self.g.tolist(),
+                    self.table._replace(slopes=None).reports(),
+                    [error is not None for error in self.table.errors],
+                    self.alpha_j.tolist(), self.function_class.tolist(),
+                    self.amplifier_class.tolist())]
+
+
+def phase_map(config: DeviceConfig, tw_values, g_values) -> PhaseMap:
     """Evaluate currents, amplification and classification over a (T_w, g) grid.
 
-    Points are emitted in row-major (T_w outer, g inner) order; per-point
+    Points are laid out in row-major (T_w outer, g inner) order; per-point
     failures are recorded on the point instead of aborting the map, and a
     T_w the model rejects fails its row with the model's error. Every other
     point, with the derivatives its amplification factor needs, comes from
-    one current_reports call.
+    one current_table call.
     """
-    g_values = [float(g) for g in g_values]
-    tw_values = [float(t_w) for t_w in tw_values]
+    g_values = np.array([float(g) for g in g_values])
+    tw_values = np.array([float(t_w) for t_w in tw_values])
     rejections = []
-    for t_w in tw_values:
+    for t_w in tw_values.tolist():
         try:
             config.with_bath_temperature("w", t_w)
             rejections.append(None)
         except ConfigError as exc:
             rejections.append(exc)
-    row = stack_points(config.with_coupling(g) for g in g_values)
-    responses = iter(current_reports(_points_at(
-        row, [t_w for t_w, rejection in zip(tw_values, rejections)
-              if rejection is None]), tw_slopes=True))
-    return [_phase_point(t_w, g, rejection or next(responses))
-            for t_w, rejection in zip(tw_values, rejections)
-            for g in g_values]
+    row = stack_points(config.with_coupling(g) for g in g_values.tolist())
+    accepted = [rejection is None for rejection in rejections]
+    table = current_table(_points_at(row, tw_values[accepted]),
+                          tw_slopes=True)
+    if not all(accepted):
+        table = _with_rejections(table, rejections, len(g_values))
+    return _classified(np.repeat(tw_values, len(g_values)),
+                       np.tile(g_values, len(tw_values)), table)
 
 
-def _phase_point(t_w: float, g: float,
-                 response: CurrentResponse | Exception) -> PhasePoint:
-    if isinstance(response, Exception):
-        return PhasePoint(t_w=t_w, g=g, report=None, alpha_j=None,
-                          function_class="error", amplifier_class="error",
-                          error=str(response))
-    report = response.report
-    scale = current_scale(report.j_h, report.j_c, report.j_w)
-    try:
-        alpha = _response_ratio(response, t_w, scale)
-        amp_class = "amplifier" if alpha > 1.0 else "contraction"
-    except AmplifierUndefinedError:
-        alpha, amp_class = None, "undefined"
-    return PhasePoint(t_w=t_w, g=g, report=report, alpha_j=alpha,
-                      function_class=classify_function(report, scale),
-                      amplifier_class=amp_class)
+def _with_rejections(table: CurrentTable, rejections: list,
+                     row_points: int) -> CurrentTable:
+    """``table`` of the accepted rows of a grid, widened to every row: each
+    rejected row's points get NaN values and its exception."""
+    accepted = np.repeat([rejection is None for rejection in rejections],
+                         row_points)
+    values = np.full((len(accepted), 9), math.nan)
+    slopes = np.full((len(accepted), 3), math.nan)
+    values[accepted], slopes[accepted] = table.values, table.slopes
+    solved = iter(table.errors)
+    errors = [next(solved) if rejection is None else rejection
+              for rejection in rejections for _ in range(row_points)]
+    return CurrentTable(values, errors, slopes)
 
 
-def phase_map_csv(points: list[PhasePoint], stream=None) -> str:
+def _classified(t_w: np.ndarray, g: np.ndarray,
+                table: CurrentTable) -> PhaseMap:
+    """The PhaseMap of points at (t_w, g) with their CurrentTable, which
+    has T_w slopes: classify_function and _response_ratio per point, in
+    their float64 operations."""
+    j_c = table.values[:, 1]
+    magnitudes = np.abs(table.values[:, :3])
+    # current_scale's max(): a NaN wins only in first place
+    scale = magnitudes[:, 0]
+    for candidate in (magnitudes[:, 1], magnitudes[:, 2], 1e-300):
+        scale = np.where(candidate > scale, candidate, scale)
+    function = np.where(magnitudes[:, 1] < VALVE_TOLERANCE * scale, "valve",
+                        np.where(j_c > 0, "refrigerator", "heater"))
+    d_jc, d_jw = table.slopes[:, 1], table.slopes[:, 2]
+    # Python floats overflow, and divide by the zero slopes this skips,
+    # without a word; so do these
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        undefined = (np.abs(d_jw) * np.where(t_w > 1.0, t_w, 1.0)
+                     < AMPLIFIER_RESPONSE_FLOOR * scale)
+        alpha = np.abs(d_jc / d_jw)
+    amplifier = np.where(undefined, "undefined",
+                         np.where(alpha > 1.0, "amplifier", "contraction"))
+    failed = np.array([error is not None for error in table.errors],
+                      dtype=bool)
+    function[failed] = amplifier[failed] = "error"
+    return PhaseMap(t_w, g, table, alpha, function, amplifier)
+
+
+def phase_map_csv(result: PhaseMap, stream=None) -> str:
     """Serialize a phase map; one row per grid point, deterministic order."""
+    amplifier = result.amplifier_class.tolist()
+    alpha = [f"{value:.17g}" if kind in _ALPHA_CLASSES else ""
+             for value, kind in zip(result.alpha_j.tolist(), amplifier)]
+    errors = ["" if error is None else str(error)
+              for error in result.table.errors]
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(CurrentReport.CSV_COLUMNS)
-                    + ["alpha_j", "function_class", "amplifier_class", "error"])
-    for p in points:
-        alpha = "" if p.alpha_j is None else f"{p.alpha_j:.17g}"
-        if p.report is not None and not p.error:
-            # numbers and the bare-word classes need no quoting
-            buffer.write(f"{csv_fields(p.t_w, p.g, p.report.values())},"
-                         f"{alpha},{p.function_class},{p.amplifier_class},\n")
-            continue
-        if p.report is None:
-            row = [f"{p.t_w:.17g}", f"{p.g:.17g}"] + [""] * 9
-        else:
-            row = p.report.csv_row(p.t_w, p.g)
-        writer.writerow(row + [alpha, p.function_class, p.amplifier_class,
-                               p.error])
+    write_grid_csv(buffer, result.t_w, result.g, result.table,
+                   ["alpha_j", "function_class", "amplifier_class", "error"],
+                   [alpha, result.function_class.tolist(), amplifier, errors])
     text = buffer.getvalue()
     if stream is not None:
         stream.write(text)

@@ -26,7 +26,7 @@ from .model import EIGEN, BathSpec, ConfigError, DensityMatrix, DeviceConfig, Sy
 from .generator import reduced_partial_secular
 from .rates import FrequencyDomainError
 from .solver import SteadyStateError, StepSizeError, evolve, trajectory_csv
-from .observables import CurrentReport, UndefinedObservableError, csv_fields, current_table
+from .observables import CurrentReport, CurrentTable, UndefinedObservableError, current_table, write_grid_csv
 from .analysis import (
     AmplifierUndefinedError,
     BracketError,
@@ -47,8 +47,8 @@ _NUMERICAL_ERRORS = (SteadyStateError, StepSizeError, BracketError,
 #: the refrigerator's CSV row sits at the cooling-window onset times this
 _REFRIGERATOR_PROBE = 1.0 + 1e-6
 
-#: most points a sweep or phase map evaluates; a sweep holds ~1.2 kB of
-#: memory per point
+#: most points a sweep or phase map evaluates; a sweep holds ~0.75 kB of
+#: memory per point, a phase map ~1.0 kB
 MAX_GRID_POINTS = 10 ** 6
 
 
@@ -161,21 +161,13 @@ def _grid_points(config: DeviceConfig, grids: list[SweepGrid]) -> np.ndarray:
     return points
 
 
-def _sweep_csv(coordinates, values, errors) -> tuple[str, int]:
-    """CSV of (T_w, g) coordinates and their report values (rows of a
-    CurrentTable) or failures."""
+def _sweep_csv(t_w, g, table: CurrentTable) -> tuple[str, int]:
+    """CSV of points at coordinates (t_w, g) with their CurrentTable, and
+    the number of failed points."""
+    status = ["ok" if error is None else str(error) for error in table.errors]
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(CurrentReport.CSV_COLUMNS) + ["status"])
-    failures = 0
-    for (t_w, g), row, error in zip(coordinates, values, errors):
-        if error is None:
-            buffer.write(csv_fields(t_w, g, row) + ",ok\n")
-        else:
-            failures += 1
-            writer.writerow([f"{t_w:.17g}", f"{g:.17g}"] + [""] * 9
-                            + [str(error)])
-    return buffer.getvalue(), failures
+    write_grid_csv(buffer, t_w, g, table, ["status"], [status])
+    return buffer.getvalue(), len(table.errors) - table.errors.count(None)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -198,15 +190,19 @@ def _summary(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _report_csv(t_w: float, g: float, report: CurrentReport) -> str:
+    """The one-row sweep CSV of a report at (t_w, g)."""
+    table = CurrentTable(np.array([report.values()]), [None], None)
+    return _sweep_csv(np.array([t_w]), np.array([g]), table)[0]
+
+
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     grids = [parse_grid(g) for g in args.grid or []]
     points = _grid_points(config, grids)
-    coordinates = zip(point_column(points, "temperature_w").tolist(),
-                      point_column(points, "g").tolist())
-    table = current_table(points)
-    text, failures = _sweep_csv(coordinates, table.values.tolist(),
-                                table.errors)
+    text, failures = _sweep_csv(point_column(points, "temperature_w"),
+                                point_column(points, "g"),
+                                current_table(points))
     _emit(text, args.out)
     _summary(f"sweep: {len(points)} point(s), {failures} failure(s)")
     return 2 if failures else 0
@@ -216,8 +212,7 @@ def cmd_valve(args) -> int:
     config = load_config(args.config)
     bracket = parse_bracket(args.bracket)
     t_w, report = _current_zero(config, args.which, bracket)
-    text, _ = _sweep_csv([(t_w, config.system.g)], [report.values()], [None])
-    _emit(text, args.out)
+    _emit(_report_csv(t_w, config.system.g, report), args.out)
     _summary(f"valve: J_{args.which} = 0 at Tw = {t_w:.12g}")
     return 0
 
@@ -230,9 +225,7 @@ def cmd_refrigerator(args) -> int:
     onset, report = _current_zero(config, "c", bracket,
                                   probe=_REFRIGERATOR_PROBE)
     probe = onset * _REFRIGERATOR_PROBE
-    text, _ = _sweep_csv([(probe, config.system.g)], [report.values()],
-                         [None])
-    _emit(text, args.out)
+    _emit(_report_csv(probe, config.system.g, report), args.out)
     cop = "undefined" if report.cop is None else f"{report.cop:.12g}"
     _summary(f"refrigerator: cooling window opens at Tw = {onset:.12g}, "
              f"COP -> {cop} (Carnot bound {report.carnot_cop:.12g})")
@@ -292,10 +285,11 @@ def cmd_phase_map(args) -> int:
     if set(by_var) != {"Tw", "g"} or len(parsed) != 2:
         raise _UsageError("phase-map needs exactly --grid Tw=... and --grid g=...")
     _check_grid_size(parsed)
-    points = phase_map(config, by_var["Tw"].values(), by_var["g"].values())
-    _emit(phase_map_csv(points), args.out)
-    failures = sum(1 for p in points if p.function_class == "error")
-    _summary(f"phase-map: {len(points)} point(s), {failures} failure(s)")
+    result = phase_map(config, by_var["Tw"].values(), by_var["g"].values())
+    _emit(phase_map_csv(result), args.out)
+    errors = result.table.errors
+    failures = len(errors) - errors.count(None)
+    _summary(f"phase-map: {len(errors)} point(s), {failures} failure(s)")
     return 2 if failures else 0
 
 

@@ -10,8 +10,10 @@ agree with it at roundoff level, are the tests' references
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -74,25 +76,16 @@ class CurrentReport:
                 self.carnot_cop, self.entropy_rate)
 
     def csv_row(self, t_w: float, g: float) -> list[str]:
-        return csv_fields(t_w, g, self.values()).split(",")
+        """The CSV_COLUMNS fields of this report at (t_w, g), as the grid
+        CSV writes them."""
+        fields = [f"{value:.17g}" for value in (t_w, g, *self.values())]
+        if self.cop is None:
+            fields[2 + _COP] = ""
+        return fields
 
 
 #: columns of CurrentReport.values() and of a CurrentTable's values
 _J_H, _J_C, _J_W, _J_C12, _J_C13, _COHERENCE, _COP, _CARNOT, _ENTROPY = range(9)
-
-# CSV_COLUMNS as text, 17 significant digits each; the second leaves the
-# cop field empty
-_CSV_FIELDS = ",".join(["%.17g"] * 11)
-_CSV_FIELDS_NO_COP = ",".join(["%.17g"] * 8 + [""] + ["%.17g"] * 2)
-
-
-def csv_fields(t_w: float, g: float, values) -> str:
-    """The comma-joined CSV_COLUMNS fields of a point at (t_w, g) with the
-    report ``values`` (a row of a CurrentTable). No field needs quoting."""
-    if math.isnan(values[_COP]):
-        return _CSV_FIELDS_NO_COP % (t_w, g, *values[:_COP],
-                                     *values[_COP + 1:])
-    return _CSV_FIELDS % (t_w, g, *values)
 
 
 def current_scale(j_h: float, j_c: float, j_w: float) -> float:
@@ -163,6 +156,66 @@ class CurrentTable(NamedTuple):
                        for report, slope in zip(reports,
                                                 self.slopes.tolist())]
         return reports
+
+
+#: grid CSV rows formatted per write; bounds the floats and row texts
+#: held at once
+_CSV_BLOCK = 128
+
+# a CurrentTable row at its coordinates as CSV_COLUMNS text; the
+# coordinates and the Carnot bound come formatted, and the second template
+# prints an undefined COP's NaN as an empty field
+_ROW = ",".join(["%s"] * 2 + ["%.17g"] * 7 + ["%s", "%.17g"])
+_ROW_NO_COP = ",".join(["%s"] * 2 + ["%.17g"] * 6 + ["%.0s", "%s", "%.17g"])
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """The %.17g text of each of the float64 ``values``, formatted once per
+    distinct bit pattern: a cache keyed on the value would print -0.0 as 0
+    once 0.0 is in it."""
+    keys = values.view(np.int64).tolist()
+    distinct = dict(zip(keys, values.tolist()))
+    texts = {key: f"{value:.17g}" for key, value in distinct.items()}
+    return list(map(texts.__getitem__, keys))
+
+
+def write_grid_csv(stream, t_w, g, table: CurrentTable, extra_columns,
+                   extra_fields) -> None:
+    """Write the CSV of grid points to ``stream``: a header of CSV_COLUMNS
+    and ``extra_columns``, then per point its coordinates t_w[i] and g[i],
+    the fields of its row of ``table`` (empty where it failed) and its
+    ``extra_fields``, one list of strings per extra column (at least one).
+
+    Coordinates and Carnot bounds, which repeat across a grid, are
+    formatted once per distinct value. Rows of failed points go through
+    csv.writer, which quotes their fields as RFC 4180 requires; the extra
+    fields of the other rows must need no quoting.
+    """
+    rows = []
+    writer = csv.writer(SimpleNamespace(write=rows.append),
+                        lineterminator="\n")
+    writer.writerow([*CurrentReport.CSV_COLUMNS, *extra_columns])
+    tail = ",%s" * len(extra_columns) + "\n"
+    templates = _ROW + tail, _ROW_NO_COP + tail
+    n = len(table.errors)
+    texts = _texts(np.concatenate([t_w, g, table.values[:, _CARNOT]]))
+    repeating = texts[:n], texts[n:2 * n], texts[2 * n:]
+    for start in range(0, n, _CSV_BLOCK):
+        stream.write("".join(rows))
+        rows.clear()
+        block = slice(start, start + _CSV_BLOCK)
+        values = table.values[block]
+        for t_w_text, g_text, carnot, row, no_cop, error, extra in zip(
+                *(column[block] for column in repeating), values.tolist(),
+                np.isnan(values[:, _COP]).tolist(), table.errors[block],
+                zip(*(fields[block] for fields in extra_fields))):
+            if error is None:
+                row[_CARNOT] = carnot
+                rows.append(templates[no_cop]
+                            % (t_w_text, g_text, *row, *extra))
+            else:
+                writer.writerow([t_w_text, g_text, *[""] * 9, *extra])
+    stream.write("".join(rows))
 
 
 #: slice of the T_h, T_c and T_w columns of stacked device points

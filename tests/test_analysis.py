@@ -18,13 +18,17 @@ from trithermal.model import (
 )
 from trithermal.observables import (
     CurrentReport,
+    CurrentResponse,
+    CurrentTable,
     current_reports,
     current_scale,
+    current_table,
 )
 from trithermal.rates import SMALL_FREQUENCY_FACTOR
 from trithermal.solver import SteadyStateError
 from trithermal.analysis import (
     AMPLIFIER_RESPONSE_FLOOR,
+    VALVE_TOLERANCE,
     AmplifierUndefinedError,
     BracketError,
     MeasurementRangeError,
@@ -209,13 +213,17 @@ def test_search_without_usable_steps(monkeypatch, engine_calls, rel_tol,
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Sizes of the current_reports calls the analyses make."""
+    """Sizes of the engine calls (current_reports and current_table) the
+    analyses make."""
     calls = []
 
-    def counting(points, **options):
-        calls.append(len(points))
-        return current_reports(points, **options)
-    monkeypatch.setattr(analysis, "current_reports", counting)
+    def counted(engine):
+        def counting(points, **options):
+            calls.append(len(points))
+            return engine(points, **options)
+        return counting
+    monkeypatch.setattr(analysis, "current_reports", counted(current_reports))
+    monkeypatch.setattr(analysis, "current_table", counted(current_table))
     return calls
 
 
@@ -436,12 +444,12 @@ class TestAmplification:
 
 class TestPhaseMap:
     def test_function_flip_along_temperature(self):
-        points = phase_map(make_config(), [3.4, 3.6], [0.02])
+        points = phase_map(make_config(), [3.4, 3.6], [0.02]).points()
         assert [p.function_class for p in points] == ["heater",
                                                       "refrigerator"]
 
     def test_row_major_order(self):
-        points = phase_map(make_config(), [3.0, 4.0], [0.0, 0.05])
+        points = phase_map(make_config(), [3.0, 4.0], [0.0, 0.05]).points()
         assert [(p.t_w, p.g) for p in points] == [
             (3.0, 0.0), (3.0, 0.05), (4.0, 0.0), (4.0, 0.05)]
 
@@ -451,14 +459,15 @@ class TestPhaseMap:
             baths=(BathSpec("h", 1.0, 0.0, 50.0),
                    BathSpec("c", 0.85, 0.0, 50.0),
                    BathSpec("w", 2.0, 0.0, 50.0)))
-        points = phase_map(config, [2.0], [0.0])
+        points = phase_map(config, [2.0], [0.0]).points()
         assert points[0].function_class == "error"
         assert "degenerate" in points[0].error
 
     def test_rejected_temperatures_are_recorded(self):
         """T_w <= 0 fails its row with the model's message; the other rows
         have their reports and amplification factors."""
-        points = phase_map(make_config(), [-1.0, 0.5, 3.6], [0.0, 0.02])
+        points = phase_map(make_config(), [-1.0, 0.5, 3.6],
+                           [0.0, 0.02]).points()
         assert [p.function_class for p in points[:2]] == ["error"] * 2
         assert all(p.error == "bath w: temperature must be positive"
                    for p in points[:2])
@@ -472,15 +481,15 @@ class TestPhaseMap:
 
     def test_points_match_the_single_point_functions(self):
         config = make_config()
-        points = phase_map(config, [3.0, 6.0], [0.0, 0.05, 0.2])
+        points = phase_map(config, [3.0, 6.0], [0.0, 0.05, 0.2]).points()
         for p in points:
             local = config.with_coupling(p.g)
             assert p.report == currents_at(local, p.t_w)
             assert p.alpha_j == amplification_factor(local, p.t_w)
 
     def test_csv(self):
-        points = phase_map(make_config(), [3.6], [0.02])
-        lines = phase_map_csv(points).strip().split("\n")
+        result = phase_map(make_config(), [3.6], [0.02])
+        lines = phase_map_csv(result).strip().split("\n")
         header = lines[0].split(",")
         assert header[:2] == ["Tw", "g"]
         assert header[-4:] == ["alpha_j", "function_class",
@@ -493,6 +502,63 @@ def test_classify_valve_band():
                            j_c13=0.0, coherence_abs=0.0, cop=None,
                            carnot_cop=1.0, entropy_rate=-1.0)
     assert classify_function(report) == "valve"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def classification_rows(draw):
+    """(T_w, (J_h, J_c, J_w), (dJ_h, dJ_c, dJ_w)) of a finite table row,
+    some on a boundary of the classification: |J_c| at or one ulp below
+    VALVE_TOLERANCE times the current scale, alpha_J exactly 1, dJ_w = +-0
+    or at the amplifier's response floor, and +-0 currents."""
+    t_w = draw(st.sampled_from([0.5, 1.0, 2.0]) | finite)
+    j_h, j_c, j_w, d_jh, d_jc, d_jw = (draw(signed_zeros | finite)
+                                       for _ in range(6))
+    edge = draw(st.sampled_from(["none", "valve", "below valve", "alpha 1",
+                                 "flat", "floor"]))
+    scale = current_scale(j_h, 0.0, j_w)
+    if edge in ("valve", "below valve"):
+        bound = VALVE_TOLERANCE * scale
+        if edge == "below valve":
+            bound = math.nextafter(bound, 0.0)
+        j_c = math.copysign(bound, j_c)
+    elif edge == "alpha 1":
+        d_jc = math.copysign(d_jw, d_jc)
+    elif edge == "flat":
+        d_jw = draw(signed_zeros)
+    elif edge == "floor":
+        t_w = min(t_w, 1.0)
+        d_jw = math.copysign(AMPLIFIER_RESPONSE_FLOOR
+                             * current_scale(j_h, j_c, j_w), d_jw)
+    return t_w, (j_h, j_c, j_w), (d_jh, d_jc, d_jw)
+
+
+@given(st.lists(classification_rows(), min_size=1, max_size=8))
+def test_phase_map_classes_match_the_scalar_functions(rows):
+    """The PhaseMap's alpha_J and class columns, computed on the table, are
+    classify_function and _response_ratio of each point, bit for bit."""
+    values = np.zeros((len(rows), 9))
+    values[:, :3] = [currents for _, currents, _ in rows]
+    values[:, 6] = math.nan
+    table = CurrentTable(values, [None] * len(rows),
+                         np.array([slopes for _, _, slopes in rows]))
+    result = analysis._classified(np.array([t_w for t_w, _, _ in rows]),
+                                  np.zeros(len(rows)), table)
+    for i, (t_w, currents, slopes) in enumerate(rows):
+        report = CurrentReport(*currents, 0.0, 0.0, 0.0, None, 0.0, 0.0)
+        assert result.function_class[i] == classify_function(report)
+        try:
+            alpha = analysis._response_ratio(
+                CurrentResponse(report, *slopes), t_w)
+        except AmplifierUndefinedError:
+            assert result.amplifier_class[i] == "undefined"
+        else:
+            assert result.amplifier_class[i] == ("amplifier" if alpha > 1.0
+                                                 else "contraction")
+            assert result.alpha_j[i] == alpha
 
 
 def central_differences(config, t_w, h):
@@ -601,5 +667,5 @@ def test_amplifier_undefined_as_work_temperature_vanishes(t_w):
     assert math.isfinite(response.d_jc) and math.isfinite(response.d_jw)
     with pytest.raises(AmplifierUndefinedError):
         amplification_factor(config, t_w)
-    point, = phase_map(config, [t_w], [config.system.g])
+    point, = phase_map(config, [t_w], [config.system.g]).points()
     assert (point.alpha_j, point.amplifier_class) == (None, "undefined")

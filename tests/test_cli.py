@@ -11,13 +11,13 @@ from hypothesis import given, strategies as st
 
 import trithermal.cli as cli
 from trithermal.analysis import (
-    PhasePoint,
+    PhaseMap,
     SweepGrid,
     currents_at,
     phase_map_csv,
 )
 from trithermal.cli import load_config, main, parse_bracket, parse_grid
-from trithermal.observables import CurrentReport
+from trithermal.observables import CurrentReport, CurrentTable
 
 from reference import build_full_secular, build_partial_secular
 
@@ -397,9 +397,15 @@ GOLDEN = [
                               "--t-final", "200"], 0),
     ("dynamics_full_g0.csv", ["dynamics", "--secular", "full",
                               "--t-final", "200"], 0),
+    # T_w = T_h: the Carnot bound is 0 below T_h and -0 above it
+    ("sweep_signed_zero.csv", ["sweep", "--grid", "Tc=0.5:1.5:3",
+                               "--grid", "g=0:0.1:3"], 2),
 ]
-GOLDEN_CONFIGS = {"dynamics_full_g0.csv": {**FIG4, "system": {
-    **FIG4["system"], "g": 0.0}}}
+GOLDEN_CONFIGS = {
+    "dynamics_full_g0.csv": {**FIG4, "system": {**FIG4["system"], "g": 0.0}},
+    "sweep_signed_zero.csv": {**FIG4, "baths": FIG4["baths"][:2] + [
+        {**FIG4["baths"][2], "temperature": 1.0}]},
+}
 
 DATA = Path(__file__).parent / "data"
 
@@ -415,6 +421,16 @@ def test_golden_csv_bytes(config_path, tmp_path, name, argv, code):
     assert main([argv[0], "--config", config_path(document), "--out",
                  str(out)] + argv[1:]) == code
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_signed_zero_golden_keeps_both_zeros():
+    """The recorded Carnot bounds of sweep_signed_zero.csv, which
+    test_golden_csv_bytes holds the sweep to: 0 in the T_c = 0.5 rows, none
+    where T_c = T_h, and -0 in the T_c = 1.5 rows. A cache of formatted
+    values that keyed -0.0 and 0.0 alike would print one text for both."""
+    rows = read_rows((DATA / "sweep_signed_zero.csv").read_text())
+    assert ([row["carnot_cop"] for row in rows]
+            == ["0"] * 3 + [""] * 3 + ["-0"] * 3)
 
 
 #: T_w of the root files as Brent's method recorded them; the root search
@@ -557,37 +573,55 @@ def oracle_phase_map_csv(points):
 
 
 floats = st.floats(allow_nan=True, allow_infinity=True)
+#: coordinates and Carnot bounds, which repeat across the rows of a grid:
+#: the writers format each distinct value once, and must still tell -0.0
+#: from 0.0
+repeating = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                             1.5]) | floats
 #: error text with the characters CSV must quote
 messages = st.text(st.characters(blacklist_categories=("Cs",),
                                  blacklist_characters="\x00")
                    | st.sampled_from(',"\n\r '), max_size=12)
 reports = st.builds(CurrentReport, floats, floats, floats, floats, floats,
-                    floats, st.none() | st.floats(allow_nan=False), floats,
-                    floats)
-results = st.lists(st.tuples(floats, floats,
+                    floats, st.none() | st.floats(allow_nan=False),
+                    repeating, floats)
+results = st.lists(st.tuples(repeating, repeating,
                              reports | messages.map(RuntimeError)),
                    max_size=8)
 
 #: one row of each kind: an undefined COP, and an error message with a
-#: comma and a quote
+#: comma and a quote; the last two coordinates and Carnot bounds are -0.0
+#: and 0.0 in turn
 KNOWN_ROWS = [
     (2.0, 0.02, CurrentReport(1e-4, -2e-5, -8e-5, -1e-5, -1e-5, 3e-4, None,
                               2.8, -4e-6)),
     (3.0, 0.5, RuntimeError('bad, "quoted" value')),
     (4.0, -0.0, CurrentReport(-0.0, 5e-324, math.inf, -math.inf, math.nan,
                               0.0, -1.5, 0.0, 1e308)),
+    (4.0, 0.0, CurrentReport(1e-4, -2e-5, -8e-5, -1e-5, -1e-5, 3e-4, 1.25,
+                             -0.0, -4e-6)),
 ]
 
 
-def table_sweep_csv(rows):
-    """cli's writer, fed as cmd_sweep feeds it: report values as rows of a
-    CurrentTable, with NaN for an undefined COP."""
+def table_of(rows) -> CurrentTable:
+    """The CurrentTable of (T_w, g, report or exception) rows, as the
+    engine lays it out: NaN for an undefined COP."""
     values = np.array([result.values() if isinstance(result, CurrentReport)
-                       else [math.nan] * 9 for _, _, result in rows])
+                       else [math.nan] * 9 for _, _, result, *_ in rows])
     errors = [result if isinstance(result, Exception) else None
-              for _, _, result in rows]
-    return cli._sweep_csv([(t_w, g) for t_w, g, _ in rows],
-                          values.reshape(-1, 9).tolist(), errors)
+              for _, _, result, *_ in rows]
+    return CurrentTable(values.reshape(-1, 9), errors, None)
+
+
+def coordinates_of(rows):
+    return (np.array([row[0] for row in rows], dtype=float),
+            np.array([row[1] for row in rows], dtype=float))
+
+
+def table_sweep_csv(rows):
+    """cli's writer, fed as cmd_sweep feeds it: coordinate columns and a
+    CurrentTable."""
+    return cli._sweep_csv(*coordinates_of(rows), table_of(rows))
 
 
 @given(results)
@@ -610,10 +644,16 @@ def test_known_rows_round_trip():
 
 
 @given(st.lists(st.tuples(
-    floats, floats, st.none() | reports, st.none() | st.floats(),
+    repeating, repeating, reports | messages.map(RuntimeError), repeating,
     st.sampled_from(["valve", "refrigerator", "heater", "error"]),
-    st.sampled_from(["amplifier", "contraction", "undefined", "error"]),
-    st.just("") | messages), max_size=8))
-def test_phase_map_csv_matches_the_per_row_writer(fields):
-    points = [PhasePoint(*point) for point in fields]
-    assert phase_map_csv(points) == oracle_phase_map_csv(points)
+    st.sampled_from(["amplifier", "contraction", "undefined", "error"])),
+    max_size=8))
+def test_phase_map_csv_matches_the_per_row_writer(rows):
+    """A PhaseMap's CSV is the per-row writer's CSV of its points. Rows
+    hold a report or an error; alpha_J is printed for the amplifier and
+    contraction classes alone."""
+    result = PhaseMap(*coordinates_of(rows), table_of(rows),
+                      np.array([row[3] for row in rows], dtype=float),
+                      np.array([row[4] for row in rows], dtype=str),
+                      np.array([row[5] for row in rows], dtype=str))
+    assert phase_map_csv(result) == oracle_phase_map_csv(result.points())
