@@ -18,12 +18,7 @@ from .model import (
     diagonalize,
     stack_points,
 )
-from .rates import (
-    RatePair,
-    bose_occupation,
-    ohmic_spectral_density,
-    transition_rates,
-)
+from .rates import RatePair, transition_rates
 from .generator import reduced_partial_secular
 from .solver import (
     StepSizeError,
@@ -36,7 +31,6 @@ from .solver import (
 )
 from .observables import (
     CurrentReport,
-    CurrentResponse,
     CurrentTable,
     UndefinedObservableError,
     carnot_cop,

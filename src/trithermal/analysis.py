@@ -13,10 +13,8 @@ import numpy as np
 from .model import POINT_COLUMNS, ConfigError, DeviceConfig, stack_points
 from .observables import (
     CurrentReport,
-    CurrentResponse,
     CurrentTable,
     current_reports,
-    current_scale,
     current_table,
     write_grid_csv,
 )
@@ -111,13 +109,25 @@ def currents_at(config: DeviceConfig, t_w: float) -> CurrentReport:
     """Steady-state current report with the work bath set to t_w."""
     moved = config.with_bath_temperature("w", t_w)
     report, = current_reports(stack_points([moved]))
-    return _checked(report)
-
-
-def _checked(report: CurrentReport | Exception) -> CurrentReport:
     if isinstance(report, Exception):
         raise report
     return report
+
+
+def _solved_at(config: DeviceConfig, t_w: float,
+               tw_slopes: bool = False) -> CurrentTable:
+    """The one-row current_table of ``config`` with the work bath at t_w;
+    raises the point's error."""
+    moved = config.with_bath_temperature("w", t_w)
+    return _checked(current_table(stack_points([moved]), tw_slopes))
+
+
+def _checked(table: CurrentTable) -> CurrentTable:
+    """A one-row ``table``, or its point's error raised."""
+    error, = table.errors
+    if error is not None:
+        raise error
+    return table
 
 
 def _points_at(row: np.ndarray, temperatures) -> np.ndarray:
@@ -148,9 +158,9 @@ def find_current_zero(config: DeviceConfig, which: str,
 
 def _current_zero(config: DeviceConfig, which: str,
                   bracket: tuple[float, float], rel_tol: float = 1e-10,
-                  probe: float = 1.0) -> tuple[float, CurrentReport]:
-    """find_current_zero's T_w, and the current report at T_w * probe,
-    which the search solves alongside its steps."""
+                  probe: float = 1.0) -> tuple[float, CurrentTable]:
+    """find_current_zero's T_w, and the one-row current_table at T_w *
+    probe, which the search solves alongside its steps."""
     if which not in ("h", "c", "w"):
         raise ConfigError(f"unknown current selector {which!r}")
     lo, hi = bracket
@@ -163,7 +173,7 @@ def _current_zero(config: DeviceConfig, which: str,
     samples = _samples(row, which, _probe_grid(lo, hi, _BRACKET_PROBES))
     ends = samples[0], samples[-1]
     for end in ends:
-        _checked(end.report)
+        _checked(end.table)
     if 0.0 not in (ends[0].j, ends[1].j) and not _changes(*ends):
         raise BracketError(f"no working point in bracket: J_{which} does not "
                            f"change sign over [{lo}, {hi}]")
@@ -172,11 +182,11 @@ def _current_zero(config: DeviceConfig, which: str,
 
 class _Sample(NamedTuple):
     """A solved T_w: the selected current, or None where the solve failed,
-    and the report or its exception."""
+    and the point's one-row current_table."""
 
     t_w: float
     j: float | None
-    report: CurrentReport | Exception
+    table: CurrentTable
 
 
 def _probe_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -189,10 +199,13 @@ def _probe_grid(lo: float, hi: float, n: int) -> list[float]:
 def _samples(row: np.ndarray, which: str, temperatures) -> list[_Sample]:
     """The stacked point ``row`` solved at each temperature, which the
     caller has checked, in one engine call."""
-    reports = current_reports(_points_at(row, temperatures))
-    return [_Sample(t_w, None if isinstance(report, Exception)
-                    else getattr(report, f"j_{which}"), report)
-            for t_w, report in zip(temperatures, reports)]
+    table = current_table(_points_at(row, temperatures))
+    # the table's first three columns are J_h, J_c and J_w
+    currents = table.values[:, "hcw".index(which)].tolist()
+    return [_Sample(t_w, None if error is not None else j,
+                    CurrentTable(table.values[i:i + 1], [error], None))
+            for i, (t_w, j, error) in enumerate(zip(temperatures, currents,
+                                                    table.errors))]
 
 
 def _changes(low: _Sample, high: _Sample) -> bool:
@@ -224,9 +237,10 @@ def _secant_slope(low: _Sample, high: _Sample) -> float:
 
 def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
                  samples: list[_Sample], rel_tol: float,
-                 probe: float = 1.0) -> tuple[float, CurrentReport] | None:
-    """(T_w, report at T_w * probe) at the first sign change of J_which
-    going up the solved ``samples``, or None if J keeps its sign.
+                 probe: float = 1.0) -> tuple[float, CurrentTable] | None:
+    """(T_w, one-row current_table at T_w * probe) at the first sign change
+    of J_which going up the solved ``samples``, or None if J keeps its
+    sign.
 
     The walk up the samples raises the first failure it meets before a
     sign change. A failed sample right after a good one bounds the search
@@ -253,7 +267,7 @@ def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
     lo = None
     for k, hi in enumerate(samples):
         if hi.j is None and lo is None:
-            raise hi.report
+            raise hi.table.errors[0]
         if hi.j == 0.0:
             return hi.t_w, _report_at(config, hi, probe, [])
         if lo is not None and _changes(lo, hi):
@@ -278,7 +292,7 @@ def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
         delta = max(0.25 * rel_tol * hi.t_w, 2.0 * math.ulp(hi.t_w))
         if hi.t_w - lo.t_w <= 2.0 * delta:
             if hi.j is None:
-                raise hi.report
+                raise hi.table.errors[0]
             end = lo if abs(lo.j) <= abs(hi.j) else hi
             return end.t_w, _report_at(config, end, probe, [])
         du = (1.0 / base.t_w - 1.0 / t_next if lo.t_w < t_next < hi.t_w
@@ -297,7 +311,7 @@ def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
                                if lo.t_w < t_w < hi.t_w], x)
         for point in points:
             if point.j is None:
-                raise point.report
+                raise point.table.errors[0]
         base = next(point for point in points if point.t_w == x)
         zero = next((point for point in points if point.j == 0.0), None)
         if zero is not None:
@@ -322,14 +336,14 @@ def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
 
 
 def _report_at(config: DeviceConfig, sample: _Sample, probe: float,
-               extra: list[_Sample]) -> CurrentReport:
-    """The report at sample.t_w * probe: the sample's own, the one solved
-    with it in ``extra``, or one more solve."""
+               extra: list[_Sample]) -> CurrentTable:
+    """The one-row current_table at sample.t_w * probe: the sample's own,
+    the one solved with it in ``extra``, or one more solve."""
     if probe == 1.0:
-        return _checked(sample.report)
+        return _checked(sample.table)
     if extra:
-        return _checked(extra[0].report)
-    return currents_at(config, sample.t_w * probe)
+        return _checked(extra[0].table)
+    return _solved_at(config, sample.t_w * probe)
 
 
 def equilibrium_tw(omega_a: float, omega_b: float, t_h: float,
@@ -413,23 +427,17 @@ def amplification_factor(config: DeviceConfig, t_w: float,
     """|dJ_c / dJ_w| with respect to the control temperature.
 
     The ratio of the exact derivatives of both currents in T_w, from one
-    steady-state solve at t_w (see current_reports). ``step`` is accepted
-    and ignored, so that callers passing a finite-difference step still
-    work.
+    steady-state solve at t_w, classified as phase_map classifies (see
+    _classified): raises the point's error, or AmplifierUndefinedError
+    where alpha_J is undefined. ``step`` is accepted and ignored, so that
+    callers passing a finite-difference step still work.
     """
-    moved = config.with_bath_temperature("w", t_w)
-    response, = current_reports(stack_points([moved]), tw_slopes=True)
-    return _response_ratio(_checked(response), t_w)
-
-
-def _response_ratio(response: CurrentResponse, t_w: float) -> float:
-    """|d_jc / d_jw|."""
-    report, d_jc, d_jw = response.report, response.d_jc, response.d_jw
-    scale = current_scale(report.j_h, report.j_c, report.j_w)
-    if abs(d_jw) * max(1.0, t_w) < AMPLIFIER_RESPONSE_FLOOR * scale:
+    table = _solved_at(config, t_w, tw_slopes=True)
+    point = _classified(np.array([t_w]), np.array([config.system.g]), table)
+    if point.amplifier_class[0] == "undefined":
         raise AmplifierUndefinedError("amplifier factor undefined here: "
                                       "work current does not respond to Tw")
-    return abs(d_jc / d_jw)
+    return float(point.alpha_j[0])
 
 
 @dataclass(frozen=True)
@@ -443,14 +451,6 @@ class PhasePoint:
     function_class: str
     amplifier_class: str
     error: str = ""
-
-
-def classify_function(report: CurrentReport) -> str:
-    """Valve, refrigerator or heater."""
-    scale = current_scale(report.j_h, report.j_c, report.j_w)
-    if abs(report.j_c) < VALVE_TOLERANCE * scale:
-        return "valve"
-    return "refrigerator" if report.j_c > 0 else "heater"
 
 
 #: amplifier classes of the points with an amplification factor
@@ -482,7 +482,7 @@ class PhaseMap:
                            function, amplifier, str(report) if failed else "")
                 for t_w, g, report, failed, alpha, function, amplifier in zip(
                     self.t_w.tolist(), self.g.tolist(),
-                    self.table._replace(slopes=None).reports(),
+                    self.table.reports(),
                     [error is not None for error in self.table.errors],
                     self.alpha_j.tolist(), self.function_class.tolist(),
                     self.amplifier_class.tolist())]
@@ -534,8 +534,11 @@ def _with_rejections(table: CurrentTable, rejections: list,
 def _classified(t_w: np.ndarray, g: np.ndarray,
                 table: CurrentTable) -> PhaseMap:
     """The PhaseMap of points at (t_w, g) with their CurrentTable, which
-    has T_w slopes: classify_function and _response_ratio per point, in
-    their float64 operations."""
+    has T_w slopes: the package's one rule for both classes and alpha_J.
+    A valve has |J_c| < VALVE_TOLERANCE * current_scale, and otherwise
+    J_c > 0 makes a refrigerator, else a heater. alpha_J = |dJ_c / dJ_w|
+    in T_w is undefined where |dJ_w| max(1, T_w) < AMPLIFIER_RESPONSE_FLOOR
+    * current_scale; above 1 it is an amplifier, else a contraction."""
     j_c = table.values[:, 1]
     magnitudes = np.abs(table.values[:, :3])
     # current_scale's max(): a NaN wins only in first place

@@ -26,7 +26,7 @@ from .model import EIGEN, BathSpec, ConfigError, DensityMatrix, DeviceConfig, Sy
 from .generator import reduced_partial_secular
 from .rates import FrequencyDomainError
 from .solver import SteadyStateError, StepSizeError, evolve, trajectory_csv
-from .observables import CurrentReport, CurrentTable, UndefinedObservableError, current_table, write_grid_csv
+from .observables import CurrentTable, UndefinedObservableError, current_table, write_grid_csv
 from .analysis import (
     AmplifierUndefinedError,
     BracketError,
@@ -190,12 +190,6 @@ def _summary(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _report_csv(t_w: float, g: float, report: CurrentReport) -> str:
-    """The one-row sweep CSV of a report at (t_w, g)."""
-    table = CurrentTable(np.array([report.values()]), [None], None)
-    return _sweep_csv(np.array([t_w]), np.array([g]), table)[0]
-
-
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     grids = [parse_grid(g) for g in args.grid or []]
@@ -211,8 +205,9 @@ def cmd_sweep(args) -> int:
 def cmd_valve(args) -> int:
     config = load_config(args.config)
     bracket = parse_bracket(args.bracket)
-    t_w, report = _current_zero(config, args.which, bracket)
-    _emit(_report_csv(t_w, config.system.g, report), args.out)
+    t_w, row = _current_zero(config, args.which, bracket)
+    _emit(_sweep_csv(np.array([t_w]), np.array([config.system.g]), row)[0],
+          args.out)
     _summary(f"valve: J_{args.which} = 0 at Tw = {t_w:.12g}")
     return 0
 
@@ -222,10 +217,12 @@ def cmd_refrigerator(args) -> int:
     bracket = parse_bracket(args.bracket)
     # COP at the onset is a 0/0 limit; probe just inside the cooling
     # window, at a point the search solves with its last step
-    onset, report = _current_zero(config, "c", bracket,
-                                  probe=_REFRIGERATOR_PROBE)
+    onset, row = _current_zero(config, "c", bracket,
+                               probe=_REFRIGERATOR_PROBE)
     probe = onset * _REFRIGERATOR_PROBE
-    _emit(_report_csv(probe, config.system.g, report), args.out)
+    _emit(_sweep_csv(np.array([probe]), np.array([config.system.g]), row)[0],
+          args.out)
+    report, = row.reports()
     cop = "undefined" if report.cop is None else f"{report.cop:.12g}"
     _summary(f"refrigerator: cooling window opens at Tw = {onset:.12g}, "
              f"COP -> {cop} (Carnot bound {report.carnot_cop:.12g})")

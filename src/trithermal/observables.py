@@ -116,15 +116,6 @@ def _cop_or_none(j_c: float, j_w: float) -> float | None:
     return j_c / j_w
 
 
-class CurrentResponse(NamedTuple):
-    """A current report with the derivatives of J_h, J_c and J_w in T_w."""
-
-    report: CurrentReport
-    d_jh: float
-    d_jc: float
-    d_jw: float
-
-
 class CurrentTable(NamedTuple):
     """Current reports of stacked device points as columns.
 
@@ -140,8 +131,8 @@ class CurrentTable(NamedTuple):
     slopes: np.ndarray | None
 
     def reports(self) -> list:
-        """current_reports' list: a CurrentReport, or a CurrentResponse
-        with slopes, per point, or its exception."""
+        """Per point, its row as a CurrentReport, or its exception; the
+        slopes are left out."""
         reports = []
         for row, error in zip(self.values.tolist(), self.errors):
             if error is not None:
@@ -150,11 +141,6 @@ class CurrentTable(NamedTuple):
             if math.isnan(row[_COP]):
                 row[_COP] = None
             reports.append(CurrentReport(*row))
-        if self.slopes is not None:
-            reports = [report if isinstance(report, Exception)
-                       else CurrentResponse(report, *slope)
-                       for report, slope in zip(reports,
-                                                self.slopes.tolist())]
         return reports
 
 
@@ -230,7 +216,9 @@ def current_table(points: np.ndarray, tw_slopes: bool = False) -> CurrentTable:
     generator of config_i solved and traced directly (the tests'
     reference path, tests/reference.py), computed on the reduced
     generator BLOCK_POINTS points at a time. A point that fails gets the
-    exception the 9x9 path raises as its error.
+    exception the 9x9 path raises as its error. With ``tw_slopes``, the
+    table also holds the exact derivatives of J_h, J_c and J_w in the
+    work-bath temperature.
     """
     n = len(points)
     table = CurrentTable(np.empty((n, 9)), [],
@@ -243,12 +231,10 @@ def current_table(points: np.ndarray, tw_slopes: bool = False) -> CurrentTable:
     return table
 
 
-def current_reports(points: np.ndarray, tw_slopes: bool = False) -> list:
+def current_reports(points: np.ndarray) -> list:
     """Per point, the CurrentReport of ``current_table(points)``, or the
-    exception in its place. With ``tw_slopes``, each report comes as a
-    CurrentResponse that adds the exact derivatives of J_h, J_c and J_w in
-    the work-bath temperature."""
-    return current_table(points, tw_slopes).reports()
+    exception in its place."""
+    return current_table(points).reports()
 
 
 def _block_table(points: np.ndarray, values: np.ndarray,

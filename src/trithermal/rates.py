@@ -8,7 +8,6 @@ density and n the Bose-Einstein occupation. The w -> 0 limit is finite
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,20 +31,6 @@ class RatePair:
 
     down: float | np.ndarray
     up: float | np.ndarray
-
-
-def bose_occupation(omega: float, temperature: float) -> float:
-    """Mean occupation of a bath mode, 1 / (e^(w/T) - 1)."""
-    if not temperature > 0:
-        raise FrequencyDomainError("temperature must be positive")
-    if not omega > 0:
-        raise FrequencyDomainError("bose_occupation requires omega > 0")
-    return 1.0 / math.expm1(omega / temperature)
-
-
-def ohmic_spectral_density(omega: float, gamma: float, cutoff: float) -> float:
-    """Ohmic spectral density gamma * w * exp(-w / cutoff)."""
-    return gamma * omega * math.exp(-omega / cutoff)
 
 
 def transition_rates(omega, bath: BathSpec | BathColumns) -> RatePair:

@@ -138,8 +138,9 @@ def reduced_steady_states(
     The bordered matrices are inverted first, and the rank check of each
     point is certified from its inverse and the residual of its solve
     (_certified). Only the points the certificate leaves in doubt get the
-    SVD of _null_dims, and the block is inverted again with the points
-    that SVD rejects stood in for. Two further refinement steps with
+    SVD of _null_dims; the inverse, solution and residual of a point that
+    SVD rejects are set to NaN, which leaves the other points as they
+    were. Two further refinement steps with
     residuals in extended precision follow, summing the bath blocks there,
     so that energy traces of the polished states keep the first law well
     below the double-precision roundoff of the generator. The four solves
@@ -174,14 +175,13 @@ def reduced_steady_states(
     # overflow in the products
     with np.errstate(all="ignore"):
         try:
-            inverse, regular = np.linalg.inv(A), True
+            inverse = np.linalg.inv(A)
         except np.linalg.LinAlgError:
-            inverse, regular = _inverses(A), False
+            inverse = _inverses(A)
         v, residual_max = _refined(A, inverse, L)
         doubtful = usable & ~_certified(scale, decay, inverse, v,
                                         residual_max)
 
-    solvable = usable
     if np.count_nonzero(doubtful):
         rows = np.flatnonzero(doubtful)
         null_dim = _null_dims(L[rows], decay[rows])
@@ -189,34 +189,23 @@ def reduced_steady_states(
         for i, dim in zip(rows[rejected], null_dim[rejected]):
             errors[i] = SteadyStateError(
                 f"degenerate steady state: null space dimension {dim}")
-        if rejected.any() or not regular:
-            solvable = usable.copy()
-            solvable[rows[rejected]] = False
-            L = np.where(solvable[:, None, None], L, _STAND_IN)
-            A = _bordered(L)
-            try:
-                inverse = np.linalg.inv(A)
-            except np.linalg.LinAlgError as exc:
-                for i in np.flatnonzero(solvable):
-                    errors[i] = SteadyStateError(
-                        f"steady-state solve failed: {exc}")
-                return (np.zeros((len(L), 5)),
-                        np.zeros((len(L), 5), _EXTENDED), np.zeros_like(A))
-            v, residual_max = _refined(A, inverse, L)
+        rows = rows[rejected]
+        inverse[rows] = v[rows] = residual_max[rows] = math.nan
 
     # the 9x9 reference's residual check, taken in the real form: entries
     # and residual there are within a factor 2 of the complex ones
     accurate = residual_max <= 1e-12 * scale * 9.0
     if np.count_nonzero(accurate) < len(accurate):
-        for i in np.flatnonzero(solvable & ~accurate):
-            errors[i] = SteadyStateError(
-                "steady-state residual above tolerance")
+        for i in np.flatnonzero(~accurate):
+            if errors[i] is None:
+                errors[i] = SteadyStateError(
+                    "steady-state residual above tolerance")
 
     A_ext = generators.dissipators.astype(_EXTENDED).sum(axis=1)
     A_ext += generators.unitary
     A_ext[:, 0, :] = _TRACE_ROW
-    if np.count_nonzero(solvable) < len(solvable):
-        A_ext = np.where(solvable[:, None, None], A_ext, A)
+    if np.count_nonzero(usable) < len(usable):
+        A_ext = np.where(usable[:, None, None], A_ext, A)
     v_ext = v.astype(_EXTENDED)
     for _ in range(2):
         residual = (A_ext @ v_ext - _UNIT_TRACE).astype(float)

@@ -9,7 +9,9 @@ takes the energy traces bath by bath. ``closed_form_currents`` evaluates the
 same currents from rates and matrix elements alone, an independent route
 that must agree with the trace route at roundoff level. At g = 0,
 ``detailed_balance_residual`` checks a diagonal state against the three
-uncoupled channels.
+uncoupled channels. ``bose_occupation`` and ``ohmic_spectral_density`` are
+the two factors of the rates in closed form, and ``classify_function`` and
+``response_ratio`` the phase map's scalar rules for one point.
 
 The package computes every current through ``observables.current_table``
 and every trajectory through ``solver.evolve``, both on the reduced block;
@@ -18,6 +20,7 @@ nothing under src/ imports this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +41,19 @@ from trithermal.generator import (
     _channel_weights,
     _unitary_block,
 )
-from trithermal.rates import RatePair, transition_rates
+from trithermal.rates import FrequencyDomainError, RatePair, transition_rates
 from trithermal.solver import SteadyStateError
 from trithermal.observables import (
     CurrentReport,
     _cop_or_none,
     carnot_cop,
+    current_scale,
     entropy_production,
+)
+from trithermal.analysis import (
+    AMPLIFIER_RESPONSE_FLOOR,
+    VALVE_TOLERANCE,
+    AmplifierUndefinedError,
 )
 
 PARTIAL_SECULAR = "partial_secular"
@@ -315,3 +324,36 @@ def closed_form_currents(config: DeviceConfig,
         carnot_cop=carnot_cop(temperatures),
         entropy_rate=entropy_production(j_h, j_c, j_w, temperatures),
     )
+
+
+def bose_occupation(omega: float, temperature: float) -> float:
+    """Mean occupation of a bath mode, 1 / (e^(w/T) - 1)."""
+    if not temperature > 0:
+        raise FrequencyDomainError("temperature must be positive")
+    if not omega > 0:
+        raise FrequencyDomainError("bose_occupation requires omega > 0")
+    return 1.0 / math.expm1(omega / temperature)
+
+
+def ohmic_spectral_density(omega: float, gamma: float, cutoff: float) -> float:
+    """Ohmic spectral density gamma * w * exp(-w / cutoff)."""
+    return gamma * omega * math.exp(-omega / cutoff)
+
+
+def classify_function(report: CurrentReport) -> str:
+    """Valve, refrigerator or heater."""
+    scale = current_scale(report.j_h, report.j_c, report.j_w)
+    if abs(report.j_c) < VALVE_TOLERANCE * scale:
+        return "valve"
+    return "refrigerator" if report.j_c > 0 else "heater"
+
+
+def response_ratio(report: CurrentReport, d_jc: float, d_jw: float,
+                   t_w: float) -> float:
+    """|d_jc / d_jw| at T_w, from the T_w slopes of J_c and J_w; raises
+    AmplifierUndefinedError where J_w does not respond to T_w."""
+    scale = current_scale(report.j_h, report.j_c, report.j_w)
+    if abs(d_jw) * max(1.0, t_w) < AMPLIFIER_RESPONSE_FLOOR * scale:
+        raise AmplifierUndefinedError("amplifier factor undefined here: "
+                                      "work current does not respond to Tw")
+    return abs(d_jc / d_jw)

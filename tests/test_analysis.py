@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from trithermal.model import (
 )
 from trithermal.observables import (
     CurrentReport,
-    CurrentResponse,
     CurrentTable,
     current_reports,
     current_scale,
@@ -34,7 +34,6 @@ from trithermal.analysis import (
     MeasurementRangeError,
     SweepGrid,
     amplification_factor,
-    classify_function,
     critical_tc,
     currents_at,
     equilibrium_tw,
@@ -46,7 +45,13 @@ from trithermal.analysis import (
     tc_from_tw,
 )
 
-from reference import build_partial_secular, steady_state, steady_state_report
+from reference import (
+    build_partial_secular,
+    classify_function,
+    response_ratio,
+    steady_state,
+    steady_state_report,
+)
 from test_model import make_config
 
 
@@ -352,12 +357,13 @@ def test_ladder_raises_only_the_failures_it_reaches(monkeypatch, failing,
     unless the walk reaches one of them."""
     column = POINT_COLUMNS.index("temperature_w")
 
-    def with_failures(points):
-        return [SteadyStateError("injected")
-                if failing[0] < t_w < failing[1] else report
-                for t_w, report in zip(points[:, column],
-                                       current_reports(points))]
-    monkeypatch.setattr(analysis, "current_reports", with_failures)
+    def with_failures(points, **options):
+        table = current_table(points, **options)
+        for i, t_w in enumerate(points[:, column]):
+            if failing[0] < t_w < failing[1]:
+                table.errors[i] = SteadyStateError("injected")
+        return table
+    monkeypatch.setattr(analysis, "current_table", with_failures)
     if fails:
         with pytest.raises(SteadyStateError, match="injected"):
             measure_temperature(thermometer_config(0.7))
@@ -539,7 +545,7 @@ def classification_rows(draw):
 @given(st.lists(classification_rows(), min_size=1, max_size=8))
 def test_phase_map_classes_match_the_scalar_functions(rows):
     """The PhaseMap's alpha_J and class columns, computed on the table, are
-    classify_function and _response_ratio of each point, bit for bit."""
+    classify_function and response_ratio of each point, bit for bit."""
     values = np.zeros((len(rows), 9))
     values[:, :3] = [currents for _, currents, _ in rows]
     values[:, 6] = math.nan
@@ -551,8 +557,7 @@ def test_phase_map_classes_match_the_scalar_functions(rows):
         report = CurrentReport(*currents, 0.0, 0.0, 0.0, None, 0.0, 0.0)
         assert result.function_class[i] == classify_function(report)
         try:
-            alpha = analysis._response_ratio(
-                CurrentResponse(report, *slopes), t_w)
+            alpha = response_ratio(report, slopes[1], slopes[2], t_w)
         except AmplifierUndefinedError:
             assert result.amplifier_class[i] == "undefined"
         else:
@@ -568,10 +573,14 @@ def central_differences(config, t_w, h):
 
 
 def exact_slopes(config, t_w):
-    response, = current_reports(
+    """The report at T_w and its currents' T_w slopes d_jh, d_jc and d_jw,
+    from the one-point current_table with slopes."""
+    table = current_table(
         stack_points([config.with_bath_temperature("w", t_w)]),
         tw_slopes=True)
-    return response
+    report, = table.reports()
+    d_jh, d_jc, d_jw = table.slopes[0].tolist()
+    return SimpleNamespace(report=report, d_jh=d_jh, d_jc=d_jc, d_jw=d_jw)
 
 
 def assert_matches_central_differences(config, t_w, rel=1e-6):

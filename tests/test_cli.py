@@ -220,6 +220,39 @@ def test_amplifier(config_path, capsys):
     assert "(amplifier)" in captured.err
 
 
+def with_device(g=0.02, t_c=0.85, gamma=0.008):
+    """FIG4 with its coupling, cold-bath temperature and every gamma set."""
+    document = json.loads(json.dumps(FIG4))
+    document["system"]["g"] = g
+    document["baths"][1]["temperature"] = t_c
+    for bath in document["baths"]:
+        bath["gamma"] = gamma
+    return document
+
+
+@pytest.mark.parametrize("tw, document, code, message", [
+    ("0", FIG4, 1, "bath w: temperature must be positive"),
+    ("-1", FIG4, 1, "bath w: temperature must be positive"),
+    ("nan", FIG4, 1, "bath w: temperature must be positive"),
+    ("inf", FIG4, 1, "bath w: temperature must be finite"),
+    ("1e-320", FIG4, 1,
+     "bath w: temperature too close to 0: its inverse overflows"),
+    ("3", with_device(t_c=1.0), 2, "Carnot bound undefined at Tc = Th"),
+    ("3", with_device(g=1.2), 2,
+     "transition frequency must be non-negative"),
+    ("3", with_device(g=0.0, gamma=0.0), 2,
+     "degenerate steady state: null space dimension 3"),
+], ids=["tw-zero", "tw-negative", "tw-nan", "tw-inf", "tw-subnormal",
+        "tc-equals-th", "large-g", "no-baths"])
+def test_amplifier_errors(config_path, capsys, tw, document, code, message):
+    """A T_w the model rejects exits 1; a point the engine fails exits 2
+    with its error; neither writes CSV."""
+    assert main(["amplifier", "--config", config_path(document),
+                 "--tw", tw]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_step_is_accepted_with_no_effect(config_path, capsys):
     """alpha_J is the exact derivative; --step is only echoed."""
     path = config_path(FIG4)

@@ -22,6 +22,7 @@ from trithermal.generator import (
     reduced_partial_secular,
 )
 from trithermal.rates import FrequencyDomainError
+import trithermal.solver as solver
 from trithermal.solver import (
     _ORTHONORMAL,
     analytic_diagonal_steady_state,
@@ -190,6 +191,32 @@ def test_only_the_refused_point_reaches_the_svd(g):
     assert first == last == single
 
 
+NO_BATHS = device(0.8, 0.0, (1.0, 0.85, 2.0), gammas=(0.0, 0.0, 0.0))
+
+
+def test_a_rejected_point_is_not_inverted_again():
+    """The bordered matrix of a device without baths is singular, so the
+    block's inversion fails and the one with that point stood in for
+    succeeds; the SVD's rejection then costs no further inversion."""
+    points = stack_points([NORMAL, NO_BATHS, NORMAL])
+    with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
+        current_reports(points)
+    assert inv.call_count <= 2
+
+
+def test_a_singular_point_the_svd_accepts_fails_alone(monkeypatch):
+    """Were the SVD to find the device without baths regular, that point
+    alone fails, on its residual; its neighbours equal their one-point
+    results."""
+    single = one(NORMAL)
+    monkeypatch.setattr(solver, "_null_dims",
+                        lambda L, decay: np.ones(len(L), dtype=int))
+    first, failed, last = current_reports(
+        stack_points([NORMAL, NO_BATHS, NORMAL]))
+    assert str(failed) == "steady-state residual above tolerance"
+    assert first == last == single
+
+
 def test_degenerate_message_keeps_the_null_space_dimension():
     failed = one(device(0.8, 0.0, (1.0, 0.85, 2.0), gammas=(0.0, 0.0, 0.0)))
     assert str(failed) == "degenerate steady state: null space dimension 3"
@@ -257,8 +284,7 @@ def test_table_marks_failures_and_undefined_figures():
 def test_tables_with_slopes_match_the_reports():
     configs = [device(0.8, g, (1.0, 0.85, 3.0)) for g in (0.0, 0.02, 1.0)]
     table = current_table(stack_points(configs), tw_slopes=True)
-    responses = current_reports(stack_points(configs), tw_slopes=True)
+    reports = current_reports(stack_points(configs))
     assert table.slopes.shape == (3, 3)
-    assert table.reports()[:2] == responses[:2]
-    assert isinstance(responses[2], FrequencyDomainError)
-    assert responses[1][1:] == tuple(table.slopes[1])
+    assert table.reports()[:2] == reports[:2]
+    assert isinstance(reports[2], FrequencyDomainError)

@@ -8,11 +8,11 @@ from trithermal.model import BathColumns, BathSpec
 from trithermal.rates import (
     SMALL_FREQUENCY_FACTOR,
     FrequencyDomainError,
-    bose_occupation,
-    ohmic_spectral_density,
     rate_temperature_slope,
     transition_rates,
 )
+
+from reference import bose_occupation, ohmic_spectral_density
 
 BATH = BathSpec("h", 1.0, 0.008, 50.0)
 
