@@ -23,9 +23,8 @@ from .observables import (
 VALVE_TOLERANCE = 1e-9
 
 #: alpha_J is undefined where |dJ_w/dT_w| * max(1, T_w) falls below this
-#: fraction of the current scale; the value keeps the floor of central
-#: differences with step 1e-5 * max(1, T_w) and a 1e-12 bound on the
-#: work current's increment
+#: fraction of the current scale; the value is kept so that no point
+#: changes class
 AMPLIFIER_RESPONSE_FLOOR = 5e-8
 
 #: points of the first engine call of a root search, uniform in 1 / T_w
@@ -383,17 +382,18 @@ def critical_tc(alpha_t: float, t_h: float, xi: float) -> float:
     return xi * t_h + math.sqrt(xi * (1.0 - xi) * t_h ** 2 / alpha_t)
 
 
-def measure_temperature(config: DeviceConfig, tw_max_factor: float = 1e3,
-                        rel_tol: float = 1e-10) -> ThermometerReading:
+def measure_temperature(config: DeviceConfig,
+                        tw_max_factor: float = 1e3) -> ThermometerReading:
     """Simulated thermometer protocol for the uncoupled device.
 
     The control temperature rises from T_h to tw_max_factor * T_h until
     the conductor current J_h changes sign. The first engine call solves
     _RANGE_PROBES points of that range, uniform in 1 / T_w; the zero at
     the first sign change going up is then found as in find_current_zero,
-    with tw_max_factor * T_h as hi. A failed solve below that sign change
-    raises. The config's cold-bath temperature plays the hidden sample
-    temperature; the reading must reproduce it.
+    at its default rel_tol and with tw_max_factor * T_h as hi. A failed
+    solve below that sign change raises. The config's cold-bath
+    temperature plays the hidden sample temperature; the reading must
+    reproduce it.
     """
     if config.system.g != 0.0:
         raise ConfigError("the thermometer protocol requires g=0")
@@ -402,12 +402,10 @@ def measure_temperature(config: DeviceConfig, tw_max_factor: float = 1e3,
     t_w_max = tw_max_factor * t_h
     if not t_w_max > t_h:
         raise ConfigError("tw_max_factor must exceed 1")
-    if not rel_tol >= 0:
-        raise ConfigError("rel_tol must be non-negative")
     config.with_bath_temperature("w", t_w_max)  # the model's check
     row = stack_points([config])
     samples = _samples(row, "h", _probe_grid(t_h, t_w_max, _RANGE_PROBES))
-    found = _sign_change(config, row, "h", samples, rel_tol)
+    found = _sign_change(config, row, "h", samples, 1e-10)
     if found is None:
         raise MeasurementRangeError(
             "sample below measurable range: J_h kept its sign up to "
@@ -422,15 +420,13 @@ def measure_temperature(config: DeviceConfig, tw_max_factor: float = 1e3,
     )
 
 
-def amplification_factor(config: DeviceConfig, t_w: float,
-                         step: float | None = None) -> float:
+def amplification_factor(config: DeviceConfig, t_w: float) -> float:
     """|dJ_c / dJ_w| with respect to the control temperature.
 
     The ratio of the exact derivatives of both currents in T_w, from one
     steady-state solve at t_w, classified as phase_map classifies (see
     _classified): raises the point's error, or AmplifierUndefinedError
-    where alpha_J is undefined. ``step`` is accepted and ignored, so that
-    callers passing a finite-difference step still work.
+    where alpha_J is undefined.
     """
     table = _solved_at(config, t_w, tw_slopes=True)
     point = _classified(np.array([t_w]), np.array([config.system.g]), table)
@@ -562,8 +558,9 @@ def _classified(t_w: np.ndarray, g: np.ndarray,
     return PhaseMap(t_w, g, table, alpha, function, amplifier)
 
 
-def phase_map_csv(result: PhaseMap, stream=None) -> str:
-    """Serialize a phase map; one row per grid point, deterministic order."""
+def phase_map_csv(result: PhaseMap) -> str:
+    """The phase map's CSV text; one row per grid point, deterministic
+    order."""
     amplifier = result.amplifier_class.tolist()
     alpha = [f"{value:.17g}" if kind in _ALPHA_CLASSES else ""
              for value, kind in zip(result.alpha_j.tolist(), amplifier)]
@@ -573,7 +570,4 @@ def phase_map_csv(result: PhaseMap, stream=None) -> str:
     write_grid_csv(buffer, result.t_w, result.g, result.table,
                    ["alpha_j", "function_class", "amplifier_class", "error"],
                    [alpha, result.function_class.tolist(), amplifier, errors])
-    text = buffer.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    return buffer.getvalue()

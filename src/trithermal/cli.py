@@ -231,12 +231,12 @@ def cmd_refrigerator(args) -> int:
 
 def cmd_amplifier(args) -> int:
     config = load_config(args.config)
-    alpha = amplification_factor(config, args.tw, args.step)
+    alpha = amplification_factor(config, args.tw)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["Tw", "g", "alpha_j", "fd_step"])
+    writer.writerow(["Tw", "g", "alpha_j"])
     writer.writerow([f"{args.tw:.17g}", f"{config.system.g:.17g}",
-                     f"{alpha:.17g}", f"{args.step:.17g}"])
+                     f"{alpha:.17g}"])
     _emit(buffer.getvalue(), args.out)
     kind = "amplifier" if alpha > 1.0 else "contraction"
     _summary(f"amplifier: alpha_J = {alpha:.12g} at Tw = {args.tw:g} ({kind})")
@@ -270,7 +270,7 @@ def cmd_dynamics(args) -> int:
                         dt=args.dt, sample_stride=args.stride)
     _emit(trajectory_csv(trajectory), args.out)
     _summary(f"dynamics: {len(trajectory.times)} samples to t = "
-             f"{args.t_final:g}, min eigenvalue "
+             f"{trajectory.times[-1]:g}, min eigenvalue "
              f"{trajectory.min_eigenvalues.min():.3e}")
     return 0
 
@@ -299,9 +299,6 @@ def build_parser() -> _Parser:
                         help="JSON device description")
     common.add_argument("--out", default=None,
                         help="output CSV path (default: stdout)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: grids are evaluated in "
-                             "stacked blocks on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", parents=[common],
@@ -324,9 +321,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("amplifier", parents=[common],
                        help="current amplification factor |dJc/dJw|")
     p.add_argument("--tw", type=float, required=True)
-    p.add_argument("--step", type=float, default=1e-5,
-                   help="accepted and ignored: alpha_J is the exact "
-                        "derivative; echoed in the fd_step column")
     p.set_defaults(func=cmd_amplifier)
 
     p = sub.add_parser("thermometer", parents=[common],
@@ -340,19 +334,12 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--stride", type=int, default=None,
                    help="steps between stored samples (default: ~1000 samples)")
-    p.add_argument("--secular", choices=("partial", "full"), default="partial",
-                   help="accepted and ignored: dynamics integrates the "
-                        "partial-secular equation, which at g = 0 is the "
-                        "full-secular one")
     p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("phase-map", parents=[common],
                        help="function and amplifier classes over (Tw, g)")
     p.add_argument("--grid", action="append", metavar="VAR=START:STOP:N",
                    required=True)
-    p.add_argument("--step", type=float, default=1e-5,
-                   help="accepted and ignored: alpha_J is the exact "
-                        "derivative")
     p.set_defaults(func=cmd_phase_map)
     return parser
 

@@ -241,14 +241,14 @@ class DensityMatrix:
         """Off-diagonal element between the two excited levels."""
         return complex(self.matrix[1, 2])
 
-    def check(self, herm_tol: float = 1e-12, trace_tol: float = 1e-12,
-              eig_floor: float = -1e-8) -> "DensityMatrix":
-        """Raise unless Hermitian, unit trace and numerically positive."""
+    def check(self) -> "DensityMatrix":
+        """Raise unless Hermitian and of unit trace to 1e-12, with no
+        eigenvalue below -1e-8."""
         m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > herm_tol:
+        if np.max(np.abs(m - m.conj().T)) > 1e-12:
             raise ConfigError("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > trace_tol:
+        if abs(np.trace(m) - 1.0) > 1e-12:
             raise ConfigError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < eig_floor:
+        if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < -1e-8:
             raise ConfigError("density matrix has a negative eigenvalue")
         return self

@@ -344,8 +344,9 @@ def analytic_diagonal_steady_state(config: DeviceConfig) -> DensityMatrix:
         (p_1 / norm, p_b / norm, p_a / norm), BARE)
 
 
-def trajectory_csv(trajectory: Trajectory, stream=None) -> str:
-    """Trajectory export: t, re/im of all nine entries, min eigenvalue, trace."""
+def trajectory_csv(trajectory: Trajectory) -> str:
+    """The trajectory's CSV text: t, re/im of all nine entries, min
+    eigenvalue, trace."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     header = ["t"]
@@ -363,7 +364,4 @@ def trajectory_csv(trajectory: Trajectory, stream=None) -> str:
                 row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
         row += [f"{low:.17g}", f"{trace:.17g}"]
         writer.writerow(row)
-    text = buffer.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    return buffer.getvalue()

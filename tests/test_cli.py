@@ -13,6 +13,7 @@ import trithermal.cli as cli
 from trithermal.analysis import (
     PhaseMap,
     SweepGrid,
+    amplification_factor,
     currents_at,
     phase_map_csv,
 )
@@ -134,15 +135,6 @@ class TestSweep:
         path = config_path(FIG4)
         assert main(["sweep", "--config", path, "--grid", "Tw=1:1:5"]) == 1
 
-    def test_threaded_output_is_identical(self, config_path, capsys):
-        path = config_path(FIG4)
-        main(["sweep", "--config", path, "--grid", "Tw=1:4:13"])
-        serial = capsys.readouterr().out
-        main(["sweep", "--config", path, "--grid", "Tw=1:4:13",
-              "--threads", "4"])
-        threaded = capsys.readouterr().out
-        assert serial == threaded
-
     def test_deterministic_reruns(self, config_path, capsys):
         path = config_path(FIG4)
         main(["sweep", "--config", path, "--grid", "g=0:0.1:6",
@@ -212,11 +204,13 @@ def test_refrigerator_onset(config_path, capsys):
 
 
 def test_amplifier(config_path, capsys):
+    """One row of Tw, g and alpha_J, at 17 significant digits."""
     path = config_path(FIG4)
     assert main(["amplifier", "--config", path, "--tw", "6"]) == 0
     captured = capsys.readouterr()
-    row = read_rows(captured.out)[0]
-    assert float(row["alpha_j"]) > 1.0
+    alpha = amplification_factor(load_config(path), 6.0)
+    assert captured.out == f"Tw,g,alpha_j\n6,0.02,{alpha:.17g}\n"
+    assert alpha > 1.0
     assert "(amplifier)" in captured.err
 
 
@@ -253,20 +247,23 @@ def test_amplifier_errors(config_path, capsys, tw, document, code, message):
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
-def test_step_is_accepted_with_no_effect(config_path, capsys):
-    """alpha_J is the exact derivative; --step is only echoed."""
-    path = config_path(FIG4)
-    outputs = []
-    for step in ([], ["--step", "0.3"]):
-        assert main(["amplifier", "--config", path, "--tw", "6"] + step) == 0
-        assert main(["phase-map", "--config", path, "--grid", "Tw=3:6:2",
-                     "--grid", "g=0:0.2:2"] + step) == 0
-        outputs.append(capsys.readouterr().out.split("\n"))
-    default, stepped = outputs
-    assert default[0] == stepped[0] == "Tw,g,alpha_j,fd_step"
-    assert default[1].rsplit(",", 1)[0] == stepped[1].rsplit(",", 1)[0]
-    assert stepped[1].endswith(",0.29999999999999999")
-    assert default[2:] == stepped[2:]
+#: settings that selected nothing: the engine runs on one thread, takes
+#: alpha_J as an exact derivative and integrates the partial-secular
+#: equation, which at g = 0 is the full-secular one
+RETIRED_SETTINGS = [["sweep", "--threads", "4"],
+                    ["amplifier", "--tw", "6", "--step", "0.3"],
+                    ["phase-map", "--grid", "Tw=3:6:2", "--grid", "g=0:0.2:2",
+                     "--step", "1"],
+                    ["dynamics", "--t-final", "10", "--secular", "full"]]
+
+
+@pytest.mark.parametrize("argv", RETIRED_SETTINGS,
+                         ids=[argv[0] for argv in RETIRED_SETTINGS])
+def test_retired_settings_are_refused(config_path, capsys, argv):
+    assert main([argv[0], "--config", config_path(FIG4)] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unrecognized arguments:")
 
 
 def test_thermometer(config_path, capsys):
@@ -326,6 +323,18 @@ def test_negative_transition_frequency_is_a_numerical_failure(
                 + argv[1:]) == 2
     assert capsys.readouterr().err == (
         "error: transition frequency must be non-negative\n")
+
+
+def test_dynamics_summary_names_the_last_sample(config_path, capsys):
+    """A stride past --t-final stores t = 0 and one later sample; the
+    summary gives that sample's time, not the requested one."""
+    assert main(["dynamics", "--config", config_path(FIG4),
+                 "--t-final", "1", "--stride", "1000"]) == 0
+    captured = capsys.readouterr()
+    times = [float(r["t"]) for r in read_rows(captured.out)]
+    assert len(times) == 2 and times[0] == 0 and times[1] > 1
+    assert captured.err.startswith(
+        f"dynamics: 2 samples to t = {times[1]:g}, ")
 
 
 def test_dynamics_positivity_column(config_path, capsys):
@@ -428,8 +437,7 @@ GOLDEN = [
     ("refrigerator.csv", ["refrigerator", "--bracket", "1:5"], 0),
     ("dynamics_partial.csv", ["dynamics", "--initial", "2",
                               "--t-final", "200"], 0),
-    ("dynamics_full_g0.csv", ["dynamics", "--secular", "full",
-                              "--t-final", "200"], 0),
+    ("dynamics_full_g0.csv", ["dynamics", "--t-final", "200"], 0),
     # T_w = T_h: the Carnot bound is 0 below T_h and -0 above it
     ("sweep_signed_zero.csv", ["sweep", "--grid", "Tc=0.5:1.5:3",
                                "--grid", "g=0:0.1:3"], 2),
