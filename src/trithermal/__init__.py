@@ -34,7 +34,6 @@ from .observables import (
     CurrentTable,
     UndefinedObservableError,
     carnot_cop,
-    current_reports,
     current_table,
     entropy_production,
     uncoupled_currents,

@@ -14,7 +14,6 @@ from .model import POINT_COLUMNS, ConfigError, DeviceConfig, stack_points
 from .observables import (
     CurrentReport,
     CurrentTable,
-    current_reports,
     current_table,
     write_grid_csv,
 )
@@ -38,6 +37,13 @@ _RANGE_PROBES = 17
 #: roundoff barely moves the interpolated root, and narrow enough that
 #: from an iterate 1e-5 off, relative, the next is 1e-13 off or closer
 _SPREAD = 1e-6
+
+#: relative tolerance of every root search: the current changes sign
+#: within _REL_TOL * hi / 2 of the returned T_w
+_REL_TOL = 1e-10
+
+#: top of the thermometer's range, relative to T_h
+_TW_MAX_FACTOR = 1e3
 
 
 class BracketError(ValueError):
@@ -96,20 +102,17 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class ThermometerReading:
-    """Outcome of the simulated sample-temperature measurement."""
+    """Outcome of the simulated sample-temperature measurement; a reading
+    exists only with tc_estimate inside the range (xi * T_h, T_h]."""
 
     tw_star: float
     tc_estimate: float
     sensitivity: float
-    in_range: bool
 
 
 def currents_at(config: DeviceConfig, t_w: float) -> CurrentReport:
     """Steady-state current report with the work bath set to t_w."""
-    moved = config.with_bath_temperature("w", t_w)
-    report, = current_reports(stack_points([moved]))
-    if isinstance(report, Exception):
-        raise report
+    report, = _solved_at(config, t_w).reports()
     return report
 
 
@@ -118,7 +121,8 @@ def _solved_at(config: DeviceConfig, t_w: float,
     """The one-row current_table of ``config`` with the work bath at t_w;
     raises the point's error."""
     moved = config.with_bath_temperature("w", t_w)
-    return _checked(current_table(stack_points([moved]), tw_slopes))
+    return _checked(current_table(stack_points([moved]),
+                                  tw_slopes=tw_slopes))
 
 
 def _checked(table: CurrentTable) -> CurrentTable:
@@ -138,25 +142,23 @@ def _points_at(row: np.ndarray, temperatures) -> np.ndarray:
 
 
 def find_current_zero(config: DeviceConfig, which: str,
-                      bracket: tuple[float, float],
-                      rel_tol: float = 1e-10) -> float:
+                      bracket: tuple[float, float]) -> float:
     """T_w at which the selected steady-state current vanishes.
 
     The first engine call solves _BRACKET_PROBES points from lo up to hi,
     uniform in 1 / T_w, ends included. From the first sign change going
     up, safeguarded interpolation steps of one call each find the root,
     typically in three (see _sign_change). The current changes sign (or
-    is exactly 0) within rel_tol * hi / 2 of the returned T_w, or a few
-    ulp if rel_tol is below the float spacing; the root is then polished
-    to the precision of the currents. The current must change sign
-    between the bracket ends; where it changes sign more than once, the
-    lowest sign change the probes resolve is taken.
+    is exactly 0) within _REL_TOL * hi / 2 of the returned T_w; the root
+    is then polished to the precision of the currents. The current must
+    change sign between the bracket ends; where it changes sign more than
+    once, the lowest sign change the probes resolve is taken.
     """
-    return _current_zero(config, which, bracket, rel_tol)[0]
+    return _current_zero(config, which, bracket)[0]
 
 
 def _current_zero(config: DeviceConfig, which: str,
-                  bracket: tuple[float, float], rel_tol: float = 1e-10,
+                  bracket: tuple[float, float],
                   probe: float = 1.0) -> tuple[float, CurrentTable]:
     """find_current_zero's T_w, and the one-row current_table at T_w *
     probe, which the search solves alongside its steps."""
@@ -165,8 +167,6 @@ def _current_zero(config: DeviceConfig, which: str,
     lo, hi = bracket
     if not 0 < lo < hi < math.inf:
         raise ConfigError("bracket must satisfy 0 < lo < hi < inf")
-    if not rel_tol >= 0:
-        raise ConfigError("rel_tol must be non-negative")
     config.with_bath_temperature("w", lo)  # the model's check of 1 / lo
     row = stack_points([config])
     samples = _samples(row, which, _probe_grid(lo, hi, _BRACKET_PROBES))
@@ -176,7 +176,7 @@ def _current_zero(config: DeviceConfig, which: str,
     if 0.0 not in (ends[0].j, ends[1].j) and not _changes(*ends):
         raise BracketError(f"no working point in bracket: J_{which} does not "
                            f"change sign over [{lo}, {hi}]")
-    return _sign_change(config, row, which, samples, rel_tol, probe)
+    return _sign_change(config, row, which, samples, probe)
 
 
 class _Sample(NamedTuple):
@@ -235,7 +235,7 @@ def _secant_slope(low: _Sample, high: _Sample) -> float:
 
 
 def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
-                 samples: list[_Sample], rel_tol: float,
+                 samples: list[_Sample],
                  probe: float = 1.0) -> tuple[float, CurrentTable] | None:
     """(T_w, one-row current_table at T_w * probe) at the first sign change
     of J_which going up the solved ``samples``, or None if J keeps its
@@ -253,15 +253,18 @@ def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
     bracket, or is not below half the step before last, or there is none:
     the safeguards of "rtsafe" (Press et al., Numerical Recipes, sec.
     9.4). Each step is one engine call that solves x, x +- d, d =
-    max(rel_tol * hi / 4, 2 ulp), x +- _SPREAD * x and, if probe != 1,
-    x * probe; the bracket then shrinks to the pair around the sign
-    change. Once J changes sign across x +- d, or is exactly 0 there, x is
-    returned, unless Newton's step from x, on the secant slope across the
-    iterate, moves it within that pair: then that point is solved and
-    returned instead, so that the root is as precise as the currents. A
-    bracket no wider than 2 d ends the search at its end with the smaller
-    |J|. Either way J changes sign within rel_tol * hi / 2 of the returned
-    T_w.
+    _REL_TOL * hi / 4, x +- _SPREAD * x and, if probe != 1, x * probe;
+    the bracket then shrinks to the pair around the sign change. Once J
+    changes sign across x +- d, or is exactly 0 there, x is returned,
+    unless Newton's step from x, on the secant slope across the iterate,
+    moves it within that pair: then that point is solved and returned
+    instead, so that the root is as precise as the currents. A bracket
+    no wider than 2 d ends the search at its end with the smaller
+    |J|. Either way J changes sign within _REL_TOL * hi / 2 of the
+    returned T_w. d exceeds 2 ulp of hi, so that the bracket can shrink
+    to 2 d: 2 ulp is at most 4.5e-16 hi, or 1e-323 where hi is
+    subnormal, and the model accepts no T_w below 5e-309, whose inverse
+    overflows.
     """
     lo = None
     for k, hi in enumerate(samples):
@@ -288,7 +291,7 @@ def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
                                  if sample.j is not None])
     step = prev = 1.0 / lo.t_w - 1.0 / hi.t_w
     while True:
-        delta = max(0.25 * rel_tol * hi.t_w, 2.0 * math.ulp(hi.t_w))
+        delta = 0.25 * _REL_TOL * hi.t_w
         if hi.t_w - lo.t_w <= 2.0 * delta:
             if hi.j is None:
                 raise hi.table.errors[0]
@@ -382,30 +385,27 @@ def critical_tc(alpha_t: float, t_h: float, xi: float) -> float:
     return xi * t_h + math.sqrt(xi * (1.0 - xi) * t_h ** 2 / alpha_t)
 
 
-def measure_temperature(config: DeviceConfig,
-                        tw_max_factor: float = 1e3) -> ThermometerReading:
+def measure_temperature(config: DeviceConfig) -> ThermometerReading:
     """Simulated thermometer protocol for the uncoupled device.
 
-    The control temperature rises from T_h to tw_max_factor * T_h until
+    The control temperature rises from T_h to _TW_MAX_FACTOR * T_h until
     the conductor current J_h changes sign. The first engine call solves
     _RANGE_PROBES points of that range, uniform in 1 / T_w; the zero at
     the first sign change going up is then found as in find_current_zero,
-    at its default rel_tol and with tw_max_factor * T_h as hi. A failed
-    solve below that sign change raises. The config's cold-bath
-    temperature plays the hidden sample temperature; the reading must
-    reproduce it.
+    with _TW_MAX_FACTOR * T_h as hi. A failed solve below that sign change
+    raises, and so does a reading outside (xi * T_h, T_h]. The config's
+    cold-bath temperature plays the hidden sample temperature; the reading
+    must reproduce it.
     """
     if config.system.g != 0.0:
         raise ConfigError("the thermometer protocol requires g=0")
     t_h = config.temperature("h")
     xi = config.system.omega_b / config.system.omega_a
-    t_w_max = tw_max_factor * t_h
-    if not t_w_max > t_h:
-        raise ConfigError("tw_max_factor must exceed 1")
+    t_w_max = _TW_MAX_FACTOR * t_h
     config.with_bath_temperature("w", t_w_max)  # the model's check
     row = stack_points([config])
     samples = _samples(row, "h", _probe_grid(t_h, t_w_max, _RANGE_PROBES))
-    found = _sign_change(config, row, "h", samples, 1e-10)
+    found = _sign_change(config, row, "h", samples)
     if found is None:
         raise MeasurementRangeError(
             "sample below measurable range: J_h kept its sign up to "
@@ -416,7 +416,6 @@ def measure_temperature(config: DeviceConfig,
         tw_star=tw_star,
         tc_estimate=tc_estimate,
         sensitivity=sensitivity(tc_estimate, t_h, xi),
-        in_range=tc_estimate > xi * t_h,
     )
 
 

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage or config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -232,12 +231,8 @@ def cmd_refrigerator(args) -> int:
 def cmd_amplifier(args) -> int:
     config = load_config(args.config)
     alpha = amplification_factor(config, args.tw)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["Tw", "g", "alpha_j"])
-    writer.writerow([f"{args.tw:.17g}", f"{config.system.g:.17g}",
-                     f"{alpha:.17g}"])
-    _emit(buffer.getvalue(), args.out)
+    _emit("Tw,g,alpha_j\n%.17g,%.17g,%.17g\n"
+          % (args.tw, config.system.g, alpha), args.out)
     kind = "amplifier" if alpha > 1.0 else "contraction"
     _summary(f"amplifier: alpha_J = {alpha:.12g} at Tw = {args.tw:g} ({kind})")
     return 0
@@ -246,13 +241,12 @@ def cmd_amplifier(args) -> int:
 def cmd_thermometer(args) -> int:
     config = load_config(args.config)
     reading = measure_temperature(config)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["tw_star", "tc_estimate", "sensitivity", "in_range"])
-    writer.writerow([f"{reading.tw_star:.17g}", f"{reading.tc_estimate:.17g}",
-                     f"{reading.sensitivity:.17g}",
-                     str(reading.in_range).lower()])
-    _emit(buffer.getvalue(), args.out)
+    # a reading outside the range raises MeasurementRangeError, so every
+    # written one is in range
+    _emit("tw_star,tc_estimate,sensitivity,in_range\n"
+          "%.17g,%.17g,%.17g,true\n"
+          % (reading.tw_star, reading.tc_estimate, reading.sensitivity),
+          args.out)
     _summary(f"thermometer: Tw* = {reading.tw_star:.12g}, "
              f"Tc = {reading.tc_estimate:.12g}")
     return 0

@@ -55,11 +55,11 @@ class EigenSystem:
 
     f2 and f3 are the squared overlaps of the excited eigenstates with the
     bare levels, f1 the interference weight; f2 + f3 = 1 and f1^2 = f2 * f3.
+    The bare detuning delta is SystemParams.delta.
     """
 
     omega_2: float
     omega_3: float
-    delta: float
     capital_omega: float
     phi: float
     f1: float
@@ -89,7 +89,6 @@ def eigensystem(omega_a, omega_b, g) -> EigenSystem:
     return EigenSystem(
         omega_2=half_sum - half_splitting,
         omega_3=half_sum + half_splitting,
-        delta=delta,
         capital_omega=splitting,
         phi=phi,
         f1=s * c,
@@ -158,7 +157,8 @@ class DeviceConfig:
 
     def with_bath_temperature(self, label: str, temperature: float) -> "DeviceConfig":
         # the constructors, as dataclasses.replace calls them, at a third
-        # of its cost: a root search moves T_w once per step
+        # of its cost: a sweep or phase map moves T_w once per grid value,
+        # a root search once or twice
         baths = tuple(
             BathSpec(b.label, temperature, b.gamma, b.cutoff)
             if b.label == label else b

@@ -36,8 +36,8 @@ from .solver import reduced_steady_states
 #: relative floor below which the COP is reported as undefined
 COP_CURRENT_FLOOR = 1e-14
 
-#: device points per block of current_reports; a constant, so that the
-#: engine's working memory does not grow with the grid
+#: device points per engine block of current_table; a constant, so that
+#: the engine's working memory does not grow with the grid
 BLOCK_POINTS = 256
 
 
@@ -229,12 +229,6 @@ def current_table(points: np.ndarray, tw_slopes: bool = False) -> CurrentTable:
             points[block], table.values[block],
             None if table.slopes is None else table.slopes[block]))
     return table
-
-
-def current_reports(points: np.ndarray) -> list:
-    """Per point, the CurrentReport of ``current_table(points)``, or the
-    exception in its place."""
-    return current_table(points).reports()
 
 
 def _block_table(points: np.ndarray, values: np.ndarray,

@@ -7,8 +7,6 @@ generator.reduced_partial_secular builds; no 9x9 generator is formed.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -347,21 +345,15 @@ def analytic_diagonal_steady_state(config: DeviceConfig) -> DensityMatrix:
 def trajectory_csv(trajectory: Trajectory) -> str:
     """The trajectory's CSV text: t, re/im of all nine entries, min
     eigenvalue, trace."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
     header = ["t"]
     for i in range(3):
         for j in range(3):
             header += [f"re_{i + 1}{j + 1}", f"im_{i + 1}{j + 1}"]
     header += ["min_eigenvalue", "trace"]
-    writer.writerow(header)
-    for t, m, low, trace in zip(trajectory.times, trajectory.matrices(),
-                                trajectory.min_eigenvalues,
-                                trajectory.traces()):
-        row = [f"{t:.17g}"]
-        for i in range(3):
-            for j in range(3):
-                row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
-        row += [f"{low:.17g}", f"{trace:.17g}"]
-        writer.writerow(row)
-    return buffer.getvalue()
+    # the re/im pairs of each matrix, row by row
+    entries = trajectory.matrices().reshape(-1, 9).view(float)
+    rows = np.column_stack([trajectory.times, entries,
+                            trajectory.min_eigenvalues, trajectory.traces()])
+    template = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(
+        template % tuple(row) for row in rows.tolist())

@@ -20,7 +20,6 @@ from trithermal.model import (
 from trithermal.observables import (
     CurrentReport,
     CurrentTable,
-    current_reports,
     current_scale,
     current_table,
 )
@@ -94,13 +93,6 @@ class TestCurrentZero:
         assert t_c_zero == pytest.approx(3.524, abs=5e-3)
         assert abs(currents_at(config, t_c_zero).j_c) < 1e-12
 
-    def test_tolerance_below_the_float_spacing_terminates(self):
-        """rel_tol = 0 stops at a bracket of a few ulp instead of looping."""
-        config = make_config()
-        root = find_current_zero(config, "c", (1.0, 5.0), rel_tol=0.0)
-        assert root == pytest.approx(
-            find_current_zero(config, "c", (1.0, 5.0)), rel=1e-10)
-
     def test_no_sign_change(self):
         with pytest.raises(BracketError, match="no working point in bracket"):
             find_current_zero(make_config(), "c", (1.0, 2.0))
@@ -130,7 +122,7 @@ def operating_devices(draw, g):
                                                   exclude_min=True)),
        st.sampled_from("ch"))
 def test_root_contract(config, which):
-    """The current changes sign within rel_tol * hi / 2 of the root; at
+    """The current changes sign within 1e-10 * hi / 2 of the root; at
     g = 0 the root is the closed-form equilibrium temperature."""
     expected = equilibrium_tw(1.0, config.system.omega_b, 1.0,
                               config.temperature("c"))
@@ -155,7 +147,7 @@ def test_root_contract(config, which):
        st.sampled_from(["c", "h", "thermometer"]))
 def test_roots_agree_with_brentq(config, which):
     """Valve roots over the g = 0 bracket of test_root_contract, and the
-    thermometer's reading at g = 0, are within rel_tol * hi of the zero
+    thermometer's reading at g = 0, are within 1e-10 * hi of the zero
     scipy's brentq finds over the same range."""
     if which == "thermometer":
         config = config.with_coupling(0.0)
@@ -177,15 +169,16 @@ def test_roots_agree_with_brentq(config, which):
     assert abs(root - expected) <= 1e-10 * hi
 
 
-@pytest.mark.parametrize("rel_tol", [1e-10, 0.0])
+@pytest.mark.parametrize("tolerance", [1e-10])
 @pytest.mark.parametrize("bad", ["nan", "zero", "wrong-way"])
-def test_search_without_usable_steps(monkeypatch, engine_calls, rel_tol,
+def test_search_without_usable_steps(monkeypatch, engine_calls, tolerance,
                                      bad):
     """With every interpolated step NaN, of length 0 or in the wrong
     direction, and the polishing Newton step's slope NaN, 0 or of the wrong
-    sign, the search bisects in u = 1 / T_w. It still returns a certified
-    root, within one call for the probe grid, one per halving of the
-    grid's spacing down to a bracket of 2 d, and one for the polish."""
+    sign, the search bisects in u = 1 / T_w. It still returns a root
+    certified to the search's relative tolerance ``tolerance``, within one
+    call for the probe grid, one per halving of the grid's spacing down to
+    a bracket of 2 d, and one for the polish."""
     interpolated, secant = analysis._interpolated_root, analysis._secant_slope
 
     def step(samples):
@@ -200,26 +193,24 @@ def test_search_without_usable_steps(monkeypatch, engine_calls, rel_tol,
     monkeypatch.setattr(analysis, "_secant_slope", slope)
     config = make_config()
     lo, hi = 1.0, 5.0
-    root = find_current_zero(config, "c", (lo, hi), rel_tol)
+    root = find_current_zero(config, "c", (lo, hi))
     spacing = (1.0 / lo - 1.0 / hi) / (analysis._BRACKET_PROBES - 1)
-    d = max(0.25 * rel_tol * root, 2.0 * math.ulp(root))
+    d = 0.25 * tolerance * root
     assert len(engine_calls) <= 2 + math.ceil(
         math.log2(spacing * hi ** 2 / (2.0 * d)))
     monkeypatch.undo()
     assert root == pytest.approx(find_current_zero(config, "c", (lo, hi)),
                                  rel=1e-10)
-    if rel_tol:
-        radius = rel_tol * hi / 2 * (1 + 1e-6)
-        below, at, above = (currents_at(config, t_w).j_c
-                            for t_w in (root - radius, root, root + radius))
-        assert at == 0.0 or math.copysign(1.0, below) != math.copysign(
-            1.0, above)
+    radius = tolerance * hi / 2 * (1 + 1e-6)
+    below, at, above = (currents_at(config, t_w).j_c
+                        for t_w in (root - radius, root, root + radius))
+    assert at == 0.0 or math.copysign(1.0, below) != math.copysign(1.0,
+                                                                  above)
 
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Sizes of the engine calls (current_reports and current_table) the
-    analyses make."""
+    """Sizes of the engine calls (current_table) the analyses make."""
     calls = []
 
     def counted(engine):
@@ -227,7 +218,6 @@ def engine_calls(monkeypatch):
             calls.append(len(points))
             return engine(points, **options)
         return counting
-    monkeypatch.setattr(analysis, "current_reports", counted(current_reports))
     monkeypatch.setattr(analysis, "current_table", counted(current_table))
     return calls
 
@@ -298,7 +288,7 @@ def test_only_the_amplifier_takes_derivatives(monkeypatch):
         raise AssertionError("T_w derivatives taken")
     monkeypatch.setattr(observables, "_tw_slopes", forbidden)
     config = make_config()
-    current_reports(stack_points([config, config]))
+    current_table(stack_points([config, config])).reports()
     find_current_zero(config, "c", (1.0, 5.0))
     measure_temperature(thermometer_config(0.7))
     with pytest.raises(AssertionError, match="derivatives taken"):
@@ -327,23 +317,23 @@ def reference_walk(config, t_w_max):
     (0.7655, 1e3),  # on the eighth rung
     (0.75, 1e3),    # on the ninth rung
     (0.62, 1e3),    # on the 28th rung
-    (0.62, 10.0),   # the range ends before the sign change
     (0.55, 1e3),    # below the measurable range
 ])
 def test_chunked_ladder_matches_the_scalar_walk(t_c, t_w_max):
-    """measure_temperature gives the reading of the ladder walked one rung
-    per solve, and Brent's method on its rung, or its error text."""
+    """measure_temperature, whose range ends at t_w_max = 1e3 T_h, gives
+    the reading of the ladder walked one rung per solve, and Brent's
+    method on its rung, or its error text."""
     config = thermometer_config(t_c)
     expected = reference_walk(config, t_w_max)
     if expected is None:
         with pytest.raises(MeasurementRangeError,
                            match=f"kept its sign up to Tw = {t_w_max:g}$"):
-            measure_temperature(config, tw_max_factor=t_w_max)
+            measure_temperature(config)
         return
     lo, _, hi, _ = expected
     root = brentq(lambda t_w: currents_at(config, t_w).j_h, lo, hi,
                   xtol=1e-16, rtol=1e-15)
-    reading = measure_temperature(config, tw_max_factor=t_w_max)
+    reading = measure_temperature(config)
     assert abs(reading.tw_star - root) <= 1e-10 * hi
 
 
@@ -411,7 +401,6 @@ class TestThermometerProtocol:
         reading = measure_temperature(thermometer_config(0.7))
         assert reading.tw_star == pytest.approx(2.8, rel=1e-6)
         assert reading.tc_estimate == pytest.approx(0.7, rel=1e-6)
-        assert reading.in_range
 
     def test_sample_below_range(self):
         with pytest.raises(MeasurementRangeError, match="below measurable"):

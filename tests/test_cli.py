@@ -1,14 +1,17 @@
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import trithermal
 import trithermal.cli as cli
 from trithermal.analysis import (
     PhaseMap,
@@ -18,6 +21,7 @@ from trithermal.analysis import (
     phase_map_csv,
 )
 from trithermal.cli import load_config, main, parse_bracket, parse_grid
+from trithermal.model import ConfigError
 from trithermal.observables import CurrentReport, CurrentTable
 
 from reference import build_full_secular, build_partial_secular
@@ -413,6 +417,19 @@ def test_unknown_command_is_usage_error():
     assert main(["frobnicate", "--config", "x"]) == 1
 
 
+def test_every_package_error_has_an_exit_code():
+    """Each exception class the package defines is one main maps to exit
+    1 or 2, so none reaches the user as a traceback."""
+    mapped = (ConfigError, cli._UsageError, *cli._NUMERICAL_ERRORS)
+    defined = {value for module in pkgutil.iter_modules(trithermal.__path__)
+               for value in vars(importlib.import_module(
+                   f"trithermal.{module.name}")).values()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__.startswith("trithermal.")}
+    assert ConfigError in defined
+    assert [error for error in defined if not issubclass(error, mapped)] == []
+
+
 #: (file under tests/data, argv after --config, exit code) of the FIG4
 #: device, or of the config GOLDEN_CONFIGS names for the file. The grid
 #: files and valve_h.csv hold the CSV each command wrote before grid output
@@ -421,8 +438,9 @@ def test_unknown_command_is_usage_error():
 #: Brent's (test_root_goldens_stay_at_the_recorded_roots). The dynamics
 #: files hold the trajectories of the RK4 on the reduced closed block,
 #: which replaced a 9x9 RK4 and sit no farther from the exact RK4 sequence
-#: than its files did (test_dynamics_golden_matches_extended_rk4); none
-#: may change a byte
+#: than its files did (test_dynamics_golden_matches_extended_rk4).
+#: thermometer.csv holds the reading of the THERMOMETER device as
+#: csv.writer wrote it. None may change a byte
 GOLDEN = [
     # g past sqrt(omega_a * omega_b) puts omega_2 < 0: failure rows
     ("sweep_g_tw.csv", ["sweep", "--grid", "g=0:1.2:7",
@@ -441,11 +459,13 @@ GOLDEN = [
     # T_w = T_h: the Carnot bound is 0 below T_h and -0 above it
     ("sweep_signed_zero.csv", ["sweep", "--grid", "Tc=0.5:1.5:3",
                                "--grid", "g=0:0.1:3"], 2),
+    ("thermometer.csv", ["thermometer"], 0),
 ]
 GOLDEN_CONFIGS = {
     "dynamics_full_g0.csv": {**FIG4, "system": {**FIG4["system"], "g": 0.0}},
     "sweep_signed_zero.csv": {**FIG4, "baths": FIG4["baths"][:2] + [
         {**FIG4["baths"][2], "temperature": 1.0}]},
+    "thermometer.csv": THERMOMETER,
 }
 
 DATA = Path(__file__).parent / "data"
@@ -483,7 +503,7 @@ RECORDED_ROOTS = {"valve_c.csv": 3.5239507299155011,
 @pytest.mark.parametrize("name", sorted(RECORDED_ROOTS))
 def test_root_goldens_stay_at_the_recorded_roots(config_path, name):
     """Each re-recorded root file holds a T_w within 1e-12 relative of the
-    recorded one, and J_c changes sign within rel_tol * hi / 2 of the root
+    recorded one, and J_c changes sign within 1e-10 * hi / 2 of the root
     (for the refrigerator, of the onset its row is 1 + 1e-6 above)."""
     t_w = float(read_rows((DATA / name).read_text())[0]["Tw"])
     assert t_w == pytest.approx(RECORDED_ROOTS[name], rel=1e-12, abs=0)

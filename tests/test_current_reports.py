@@ -33,7 +33,6 @@ from trithermal.observables import (
     CurrentReport,
     _cop_or_none,
     carnot_cop,
-    current_reports,
     current_table,
     entropy_production,
     uncoupled_currents,
@@ -71,7 +70,7 @@ def reference(config):
 
 
 def one(config):
-    report, = current_reports(stack_points([config]))
+    report, = current_table(stack_points([config])).reports()
     return report
 
 
@@ -147,7 +146,7 @@ def test_grid_longer_than_one_block_equals_single_points():
                       rng.uniform(0.001, 0.02, size=3),
                       rng.uniform(10.0, 100.0, size=3))
                for _ in range(BLOCK_POINTS + 45)]
-    reports = current_reports(stack_points(configs))
+    reports = current_table(stack_points(configs)).reports()
     assert len(reports) == len(configs)
     assert reports == [one(config) for config in configs]
 
@@ -166,7 +165,8 @@ def test_a_failing_point_fails_alone(bad):
     9x9 path raises; its neighbours equal their own one-point results."""
     expected = reference(bad)
     assert isinstance(expected, Exception)
-    first, failed, last = current_reports(stack_points([NORMAL, bad, NORMAL]))
+    first, failed, last = current_table(
+        stack_points([NORMAL, bad, NORMAL])).reports()
     assert type(failed) is type(expected)
     assert str(failed) == str(expected)
     assert first == last == one(NORMAL)
@@ -181,8 +181,8 @@ def test_only_the_refused_point_reaches_the_svd(g):
     bad = device(0.8, g, (1.0, 0.85, 2.0), gammas=(0.0, 0.0, 0.0))
     single = one(NORMAL)
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-        first, failed, last = current_reports(
-            stack_points([NORMAL, bad, NORMAL]))
+        first, failed, last = current_table(
+            stack_points([NORMAL, bad, NORMAL])).reports()
     (rows,), _ = svd.call_args
     expected = reduced_partial_secular(stack_points([bad])).matrix
     assert svd.call_count == 1
@@ -200,7 +200,7 @@ def test_a_rejected_point_is_not_inverted_again():
     succeeds; the SVD's rejection then costs no further inversion."""
     points = stack_points([NORMAL, NO_BATHS, NORMAL])
     with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
-        current_reports(points)
+        current_table(points).reports()
     assert inv.call_count <= 2
 
 
@@ -211,8 +211,8 @@ def test_a_singular_point_the_svd_accepts_fails_alone(monkeypatch):
     single = one(NORMAL)
     monkeypatch.setattr(solver, "_null_dims",
                         lambda L, decay: np.ones(len(L), dtype=int))
-    first, failed, last = current_reports(
-        stack_points([NORMAL, NO_BATHS, NORMAL]))
+    first, failed, last = current_table(
+        stack_points([NORMAL, NO_BATHS, NORMAL])).reports()
     assert str(failed) == "steady-state residual above tolerance"
     assert first == last == single
 
@@ -228,7 +228,7 @@ def test_non_finite_generator_fails_alone():
     rank check of its neighbours."""
     points = stack_points([NORMAL, NORMAL, NORMAL])
     points[1, POINT_COLUMNS.index("gamma_h")] = float("nan")
-    first, failed, last = current_reports(points)
+    first, failed, last = current_table(points).reports()
     assert str(failed) == ("steady-state solve failed: generator has "
                            "non-finite entries")
     assert first == last == one(NORMAL)
@@ -249,7 +249,7 @@ def test_table_columns_are_the_scalar_figures_bit_for_bit(configs):
     """COP, Carnot bound and entropy rate of the columnar table equal the
     scalar functions exactly: the same float64 operations, in order."""
     for config, report in zip(configs,
-                              current_reports(stack_points(configs))):
+                              current_table(stack_points(configs)).reports()):
         if not isinstance(report, Exception):
             assert (report.cop, report.carnot_cop, report.entropy_rate) == \
                 scalar_figures(report, config)
@@ -284,7 +284,7 @@ def test_table_marks_failures_and_undefined_figures():
 def test_tables_with_slopes_match_the_reports():
     configs = [device(0.8, g, (1.0, 0.85, 3.0)) for g in (0.0, 0.02, 1.0)]
     table = current_table(stack_points(configs), tw_slopes=True)
-    reports = current_reports(stack_points(configs))
+    reports = current_table(stack_points(configs)).reports()
     assert table.slopes.shape == (3, 3)
     assert table.reports()[:2] == reports[:2]
     assert isinstance(reports[2], FrequencyDomainError)

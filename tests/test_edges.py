@@ -31,7 +31,6 @@ from trithermal.model import (
 from trithermal.observables import (
     CurrentReport,
     UndefinedObservableError,
-    current_reports,
     current_table,
 )
 from trithermal.rates import FrequencyDomainError
@@ -142,7 +141,7 @@ def assert_sound(report):
 @given(edge_documents(coldest=COLDEST))
 def test_engine_gives_finite_currents_or_a_typed_error(document):
     points = stack_points([device(document)])
-    report, = current_reports(points)
+    report, = current_table(points).reports()
     table = current_table(points, tw_slopes=True)
     if isinstance(report, Exception):
         assert isinstance(report, TYPED_ERRORS)
@@ -198,7 +197,7 @@ def test_certified_rank_agrees_with_the_svd(documents):
     points = stack_points([device(document) for document in documents])
     generators = reduced_partial_secular(points)
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-        reports = current_reports(points)
+        reports = current_table(points).reports()
         seen = [row for call in svd.call_args_list for row in call.args[0]]
     usable = (np.isfinite(generators.matrix).all(axis=(1, 2))
               & ~generators.out_of_domain)

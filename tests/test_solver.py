@@ -1,6 +1,11 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 import trithermal.solver as solver
@@ -20,6 +25,7 @@ from trithermal.rates import FrequencyDomainError
 from trithermal.solver import (
     StepSizeError,
     SteadyStateError,
+    Trajectory,
     analytic_diagonal_steady_state,
     default_timestep,
     evolve,
@@ -250,3 +256,48 @@ def test_trajectory_csv_shape():
     assert first["t"] == 0.0
     assert first["re_33"] == 1.0
     assert first["trace"] == pytest.approx(1.0)
+
+
+def cell_by_cell_csv(trajectory):
+    """trajectory_csv as csv.writer wrote it, one formatted cell at a
+    time: the oracle of its row templates."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    header = ["t"]
+    for i in range(3):
+        for j in range(3):
+            header += [f"re_{i + 1}{j + 1}", f"im_{i + 1}{j + 1}"]
+    header += ["min_eigenvalue", "trace"]
+    writer.writerow(header)
+    for t, m, low, trace in zip(trajectory.times, trajectory.matrices(),
+                                trajectory.min_eigenvalues,
+                                trajectory.traces()):
+        row = [f"{t:.17g}"]
+        for i in range(3):
+            for j in range(3):
+                row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
+        row += [f"{low:.17g}", f"{trace:.17g}"]
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+#: floats with the signed zeros, infinities, NaN and subnormals forced in
+FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                          -5e-324, 2.2250738585072009e-308]) | st.floats()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trajectory_csv_matches_the_cell_by_cell_writer(data):
+    """The same bytes as the oracle, whatever the floats: w = +-0 puts 0
+    or -0 in im_32, and the specials print as the oracle prints them."""
+    n = data.draw(st.integers(0, 4))
+    trajectory = Trajectory(
+        times=data.draw(arrays(np.float64, n, elements=FLOATS)),
+        states=data.draw(arrays(np.float64, (n, 5), elements=FLOATS)),
+        min_eigenvalues=data.draw(arrays(np.float64, n, elements=FLOATS)),
+        dt=0.01, sample_stride=1)
+    # 0 * inf in u + 1j w, and inf - inf or an overflow in the trace, give
+    # the oracle the same NaN or inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert trajectory_csv(trajectory) == cell_by_cell_csv(trajectory)
