@@ -3,6 +3,7 @@ amplification factor, phase maps, and the thermometer protocol."""
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from dataclasses import dataclass
@@ -32,15 +33,19 @@ AMPLIFIER_RESPONSE_FLOOR = 5e-8
 _BRACKET_PROBES = 9
 _RANGE_PROBES = 17
 
-#: half-width, relative to T_w, of the three points each later step of a
-#: root search interpolates through: wide enough that the currents'
-#: roundoff barely moves the interpolated root, and narrow enough that
-#: from an iterate 1e-5 off, relative, the next is 1e-13 off or closer
-_SPREAD = 1e-6
-
 #: relative tolerance of every root search: the current changes sign
 #: within _REL_TOL * hi / 2 of the returned T_w
 _REL_TOL = 1e-10
+
+#: half-width, relative to T_w, of the flanks of each root search step:
+#: above the error of a root interpolated between two probes (2e-5 at most
+#: on the benchmark's devices, 1.2e-4 on the tests'), so that the next step
+#: interpolates over the flank, where it is exact to roundoff
+_FLANK = 1e-3
+
+#: relative distance from a certified T_w beyond which the interpolated
+#: root of its sign change is solved and returned in its place
+_POLISH_TOL = 1e-13
 
 #: top of the thermometer's range, relative to T_h
 _TW_MAX_FACTOR = 1e3
@@ -120,17 +125,9 @@ def _solved_at(config: DeviceConfig, t_w: float,
                tw_slopes: bool = False) -> CurrentTable:
     """The one-row current_table of ``config`` with the work bath at t_w;
     raises the point's error."""
-    moved = config.with_bath_temperature("w", t_w)
-    return _checked(current_table(stack_points([moved]),
-                                  tw_slopes=tw_slopes))
-
-
-def _checked(table: CurrentTable) -> CurrentTable:
-    """A one-row ``table``, or its point's error raised."""
-    error, = table.errors
-    if error is not None:
-        raise error
-    return table
+    config.with_bath_temperature("w", t_w)  # the model's check
+    sample, = _samples(stack_points([config]), "h", [t_w], tw_slopes)
+    return sample.report()
 
 
 def _points_at(row: np.ndarray, temperatures) -> np.ndarray:
@@ -145,14 +142,13 @@ def find_current_zero(config: DeviceConfig, which: str,
                       bracket: tuple[float, float]) -> float:
     """T_w at which the selected steady-state current vanishes.
 
-    The first engine call solves _BRACKET_PROBES points from lo up to hi,
-    uniform in 1 / T_w, ends included. From the first sign change going
-    up, safeguarded interpolation steps of one call each find the root,
-    typically in three (see _sign_change). The current changes sign (or
-    is exactly 0) within _REL_TOL * hi / 2 of the returned T_w; the root
-    is then polished to the precision of the currents. The current must
-    change sign between the bracket ends; where it changes sign more than
-    once, the lowest sign change the probes resolve is taken.
+    The current must change sign between the bracket ends; where it
+    changes sign more than once, the lowest sign change the probes
+    resolve is taken. It changes sign (or is exactly 0) within _REL_TOL *
+    hi / 2 of the returned T_w, which is as precise as the currents. The
+    first engine call solves _BRACKET_PROBES points from lo up to hi,
+    uniform in 1 / T_w, ends included; an answer takes one call at g = 0
+    and three at g > 0 (see _sign_change).
     """
     return _current_zero(config, which, bracket)[0]
 
@@ -169,23 +165,38 @@ def _current_zero(config: DeviceConfig, which: str,
         raise ConfigError("bracket must satisfy 0 < lo < hi < inf")
     config.with_bath_temperature("w", lo)  # the model's check of 1 / lo
     row = stack_points([config])
-    samples = _samples(row, which, _probe_grid(lo, hi, _BRACKET_PROBES))
-    ends = samples[0], samples[-1]
+    probed = _probed(config, row, which, _probe_grid(lo, hi, _BRACKET_PROBES),
+                     probe)
+    ends = probed[0][0], probed[0][-1]
     for end in ends:
-        _checked(end.table)
+        if end.error is not None:
+            raise end.error
     if 0.0 not in (ends[0].j, ends[1].j) and not _changes(*ends):
         raise BracketError(f"no working point in bracket: J_{which} does not "
                            f"change sign over [{lo}, {hi}]")
-    return _sign_change(config, row, which, samples, probe)
+    return _sign_change(config, row, which, probed, probe)
 
 
 class _Sample(NamedTuple):
-    """A solved T_w: the selected current, or None where the solve failed,
-    and the point's one-row current_table."""
+    """A solved T_w: the selected current and its T_w slope where the call
+    took slopes, or None where the solve failed, with its error; and the
+    table of the engine call that solved it, as its row ``row``."""
 
     t_w: float
     j: float | None
+    slope: float | None
+    error: Exception | None
     table: CurrentTable
+    row: int
+
+    def report(self) -> CurrentTable:
+        """The sample's one-row current_table, or its error raised."""
+        if self.error is not None:
+            raise self.error
+        rows = slice(self.row, self.row + 1)
+        slopes = self.table.slopes
+        return CurrentTable(self.table.values[rows], [None],
+                            None if slopes is None else slopes[rows])
 
 
 def _probe_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -195,16 +206,63 @@ def _probe_grid(lo: float, hi: float, n: int) -> list[float]:
     return grid
 
 
-def _samples(row: np.ndarray, which: str, temperatures) -> list[_Sample]:
+def _samples(row: np.ndarray, which: str, temperatures,
+             slopes: bool) -> list[_Sample]:
     """The stacked point ``row`` solved at each temperature, which the
-    caller has checked, in one engine call."""
-    table = current_table(_points_at(row, temperatures))
+    caller has checked, in one engine call, with T_w slopes if ``slopes``."""
+    table = current_table(_points_at(row, temperatures), tw_slopes=slopes)
     # the table's first three columns are J_h, J_c and J_w
-    currents = table.values[:, "hcw".index(which)].tolist()
-    return [_Sample(t_w, None if error is not None else j,
-                    CurrentTable(table.values[i:i + 1], [error], None))
-            for i, (t_w, j, error) in enumerate(zip(temperatures, currents,
-                                                    table.errors))]
+    column = "hcw".index(which)
+    currents = table.values[:, column].tolist()
+    derivatives = (table.slopes[:, column].tolist() if slopes
+                   else [None] * len(currents))
+    return [_Sample(t_w, j if error is None else None, slope, error, table, i)
+            for i, (t_w, j, slope, error) in enumerate(zip(
+                temperatures, currents, derivatives, table.errors))]
+
+
+def _step(row: np.ndarray, which: str, temperatures: list[float],
+          x: float, probe: float, slopes: bool) -> tuple[list, list]:
+    """The samples of one engine call at the temperatures, and the sample
+    at x * probe solved with them where probe != 1."""
+    extra = [x * probe] if probe != 1.0 and math.isfinite(x * probe) else []
+    solved = _samples(row, which, temperatures + extra, slopes)
+    return solved[:len(temperatures)], solved[len(temperatures):]
+
+
+def _step_points(x: float, low: float, high: float) -> list[float]:
+    """The temperatures a search step at x solves, ascending: x, x +- d
+    with d = _REL_TOL * high / 4, and x +- _FLANK * x, where inside (low,
+    high)."""
+    d = 0.25 * _REL_TOL * high
+    flank = _FLANK * x
+    return [t_w for t_w in sorted({x - flank, x - d, x, x + d, x + flank})
+            if low < t_w < high]
+
+
+def _probed(config: DeviceConfig, row: np.ndarray, which: str,
+            grid: list[float], probe: float) -> tuple[list, tuple | None]:
+    """The first engine call of a search: the samples of the ascending
+    probe ``grid`` (with T_w slopes at g > 0) and, at g = 0, where the
+    closed-form root x = equilibrium_tw lies between two probes, (x, the
+    samples of _sign_change's first step at x, solved in the same call)."""
+    steps, x = [], math.nan
+    if config.system.g == 0.0:
+        # the uncoupled device's one cycle of transitions carries no net
+        # flux at x (J. Schnakenberg, Rev. Mod. Phys. 48, 571, 1976)
+        try:
+            x = equilibrium_tw(config.system.omega_a, config.system.omega_b,
+                               config.temperature("h"),
+                               config.temperature("c"))
+        except MeasurementRangeError:
+            pass
+        k = bisect.bisect_right(grid, x)  # len(grid) where x is NaN
+        if 0 < k < len(grid) and grid[k - 1] < x:
+            steps = _step_points(x, grid[k - 1], grid[k])
+    solved, extra = _step(row, which, grid + steps, x,
+                          probe if steps else 1.0, config.system.g != 0.0)
+    return (solved[:len(grid)],
+            (x, solved[len(grid):], extra) if steps else None)
 
 
 def _changes(low: _Sample, high: _Sample) -> bool:
@@ -214,62 +272,69 @@ def _changes(low: _Sample, high: _Sample) -> bool:
                               != math.copysign(1.0, high.j))
 
 
-def _interpolated_root(samples: list[_Sample]) -> float:
-    """T_w at J = 0 of the polynomial u(J) through the samples, u = 1 /
-    T_w (Lagrange's formula), or NaN where two of them have the same J."""
-    u = 0.0
-    for a in samples:
-        term = 1.0 / a.t_w
-        for b in samples:
-            if b is not a:
-                if b.j == a.j:
-                    return math.nan
-                term *= b.j / (b.j - a.j)
-        u += term
-    return 1.0 / u if u else math.nan
-
-
-def _secant_slope(low: _Sample, high: _Sample) -> float:
-    """dJ/dT_w between two solved samples."""
-    return (high.j - low.j) / (high.t_w - low.t_w)
+def _zero_between(low: _Sample, high: _Sample) -> float:
+    """T_w of the zero of the interpolant of J in u = 1 / T_w between two
+    samples over which J changes sign: cubic Hermite on their T_w slopes,
+    or the line where they have none; NaN where a sample failed. Newton's
+    steps on the cubic in t = (u - u_low) / (u_high - u_low), from the
+    line's zero, find its zero to roundoff; _sign_change checks that it
+    lies between the samples."""
+    if low.j is None or high.j is None:
+        return math.nan
+    u_low = 1.0 / low.t_w
+    h = 1.0 / high.t_w - u_low
+    secant = high.j - low.j
+    # dJ/dt = h dJ/du = -h T_w^2 dJ/dT_w; a product overflows to inf
+    # where ** would raise
+    m_low, m_high = ((secant, secant) if low.slope is None else
+                     (-h * low.t_w * low.t_w * low.slope,
+                      -h * high.t_w * high.t_w * high.slope))
+    c2 = 3.0 * secant - 2.0 * m_low - m_high
+    c3 = m_low + m_high - 2.0 * secant
+    t = low.j / (low.j - high.j)
+    for _ in range(8):
+        slope = m_low + t * (2.0 * c2 + 3.0 * t * c3)
+        if not slope:
+            return math.nan
+        t -= (low.j + t * (m_low + t * (c2 + t * c3))) / slope
+    return 1.0 / (u_low + t * h)
 
 
 def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
-                 samples: list[_Sample],
-                 probe: float = 1.0) -> tuple[float, CurrentTable] | None:
+                 probed: tuple, probe: float = 1.0
+                 ) -> tuple[float, CurrentTable] | None:
     """(T_w, one-row current_table at T_w * probe) at the first sign change
-    of J_which going up the solved ``samples``, or None if J keeps its
-    sign.
+    of J_which going up the probe samples of ``probed`` (see _probed), or
+    None if J keeps its sign. The walk up the samples raises the first
+    failure it meets before a sign change; a failed sample right after a
+    good one bounds the search instead, and raises only if the sign
+    change is not below it.
 
-    The walk up the samples raises the first failure it meets before a
-    sign change. A failed sample right after a good one bounds the search
-    instead, and raises only if the sign change is not below it.
+    Each step is one engine call at a point x inside the bracket [lo, hi]
+    (_step_points, and x * probe if probe != 1), which then shrinks to the
+    pair around the sign change. x is the zero of the interpolant between
+    the bracket ends (_zero_between): cubic Hermite on the exact T_w
+    slopes, which every call takes at g > 0, linear at g = 0. The search
+    bisects in u where a step leaves the bracket, or is not below half the
+    step before last, or there is none: the safeguards of "rtsafe" (Press
+    et al., Numerical Recipes, sec. 9.4). Once J changes sign across x +-
+    d, or is 0 there, x is returned, unless the zero of the interpolant
+    over that pair lies more than _POLISH_TOL * x away: then that zero is
+    solved and returned. A bracket no wider than 2 d ends the search at
+    its end with the smaller |J|. Either way J changes sign within _REL_TOL
+    * hi / 2 of the returned T_w. d exceeds 2 ulp of hi, so x +- d differ
+    from x (the model accepts no T_w below 5e-309).
 
-    The search keeps a bracket [lo, hi] around the sign change. Each step
-    interpolates u = 1 / T_w as a polynomial in J, in which the currents
-    are nearly linear near a root: the first through the samples, two on
-    either side of the sign change, each later one through the last
-    iterate x and x +- _SPREAD * x. It bisects in u where a step leaves the
-    bracket, or is not below half the step before last, or there is none:
-    the safeguards of "rtsafe" (Press et al., Numerical Recipes, sec.
-    9.4). Each step is one engine call that solves x, x +- d, d =
-    _REL_TOL * hi / 4, x +- _SPREAD * x and, if probe != 1, x * probe;
-    the bracket then shrinks to the pair around the sign change. Once J
-    changes sign across x +- d, or is exactly 0 there, x is returned,
-    unless Newton's step from x, on the secant slope across the iterate,
-    moves it within that pair: then that point is solved and returned
-    instead, so that the root is as precise as the currents. A bracket
-    no wider than 2 d ends the search at its end with the smaller
-    |J|. Either way J changes sign within _REL_TOL * hi / 2 of the
-    returned T_w. d exceeds 2 ulp of hi, so that the bracket can shrink
-    to 2 d: 2 ulp is at most 4.5e-16 hi, or 1e-323 where hi is
-    subnormal, and the model accepts no T_w below 5e-309, whose inverse
-    overflows.
+    At g = 0 the first step is at the closed-form root, solved with the
+    probes, and certifies it. At g > 0 the second call solves the zero
+    over the two probes around the sign change, whose flanks x +- _FLANK
+    * x bracket the root, and the third the zero over that flank.
     """
+    samples, seeded = probed
     lo = None
-    for k, hi in enumerate(samples):
+    for hi in samples:
         if hi.j is None and lo is None:
-            raise hi.table.errors[0]
+            raise hi.error
         if hi.j == 0.0:
             return hi.t_w, _report_at(config, hi, probe, [])
         if lo is not None and _changes(lo, hi):
@@ -277,27 +342,43 @@ def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
         lo = hi
     else:
         return None
-
-    def solve(temperatures: list[float], x: float):
-        """Samples at the temperatures, and at x * probe if probe != 1."""
-        extra = ([x * probe] if probe != 1.0 and math.isfinite(x * probe)
-                 else [])
-        solved = _samples(row, which, temperatures + extra)
-        return solved[:len(temperatures)], solved[len(temperatures):]
-
-    base = lo if hi.j is None or abs(lo.j) <= abs(hi.j) else hi
-    t_next = _interpolated_root([sample for sample
-                                 in samples[max(k - 2, 0):k + 2]
-                                 if sample.j is not None])
+    slopes = config.system.g != 0.0
+    x, points, extra = (seeded if seeded and lo.t_w < seeded[0] < hi.t_w
+                        else (None, [], []))
     step = prev = 1.0 / lo.t_w - 1.0 / hi.t_w
+    delta = 0.25 * _REL_TOL * hi.t_w
     while True:
-        delta = 0.25 * _REL_TOL * hi.t_w
+        if points:
+            for point in points:
+                if point.j is None:
+                    raise point.error
+            base = next(point for point in points if point.t_w == x)
+            zero = next((point for point in points if point.j == 0.0), None)
+            if zero is not None:
+                return zero.t_w, _report_at(config, zero, probe,
+                                            extra if zero is base else [])
+            ordered = [lo, *points, hi]
+            lo, hi = next((low, high) for low, high
+                          in zip(ordered, ordered[1:]) if _changes(low, high))
+            if (hi.j is not None and x - delta <= lo.t_w
+                    and hi.t_w <= x + delta):
+                polished = _zero_between(lo, hi)
+                if not (lo.t_w <= polished <= hi.t_w
+                        and abs(polished - x) > _POLISH_TOL * x):
+                    return x, _report_at(config, base, probe, extra)
+                points, extra = _step(row, which, [polished], polished,
+                                      probe, slopes)
+                return polished, _report_at(config, points[0], probe, extra)
+            delta = 0.25 * _REL_TOL * hi.t_w
         if hi.t_w - lo.t_w <= 2.0 * delta:
             if hi.j is None:
-                raise hi.table.errors[0]
+                raise hi.error
             end = lo if abs(lo.j) <= abs(hi.j) else hi
             return end.t_w, _report_at(config, end, probe, [])
-        du = (1.0 / base.t_w - 1.0 / t_next if lo.t_w < t_next < hi.t_w
+        t_next = _zero_between(lo, hi)
+        # rtsafe's first step runs from the middle of the bracket
+        u_last = 1.0 / x if x else 0.5 * (1.0 / lo.t_w + 1.0 / hi.t_w)
+        du = (u_last - 1.0 / t_next if lo.t_w < t_next < hi.t_w
               else math.inf)
         if abs(du) < 0.5 * abs(prev):
             prev, step, x = step, du, t_next
@@ -307,34 +388,8 @@ def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
             x = 1.0 / (u_hi + step)
             if not lo.t_w < x < hi.t_w:
                 x = lo.t_w + 0.5 * (hi.t_w - lo.t_w)
-        spread = max(_SPREAD * x, 2.0 * delta)
-        points, extra = solve([t_w for t_w in (x - spread, x - delta, x,
-                                               x + delta, x + spread)
-                               if lo.t_w < t_w < hi.t_w], x)
-        for point in points:
-            if point.j is None:
-                raise point.table.errors[0]
-        base = next(point for point in points if point.t_w == x)
-        zero = next((point for point in points if point.j == 0.0), None)
-        if zero is not None:
-            return zero.t_w, _report_at(config, zero, probe,
-                                        extra if zero is base else [])
-        ordered = [lo, *points, hi]
-        lo, hi = next((low, high) for low, high in zip(ordered, ordered[1:])
-                      if _changes(low, high))
-        if hi.j is None or lo.t_w < x - delta or hi.t_w > x + delta:
-            nodes = {point.t_w: point for point in (points[0], base,
-                                                    points[-1])}
-            t_next = _interpolated_root(list(nodes.values()))
-            continue
-        # J changes sign across x +- d; Newton's step rounds once
-        slope = (_secant_slope(points[0], points[-1]) if len(points) > 1
-                 else 0.0)
-        polished = x - base.j / slope if slope else x
-        if not (lo.t_w <= polished <= hi.t_w and polished != x):
-            return x, _report_at(config, base, probe, extra)
-        points, extra = solve([polished], polished)
-        return polished, _report_at(config, points[0], probe, extra)
+        points, extra = _step(row, which, _step_points(x, lo.t_w, hi.t_w),
+                              x, probe, slopes)
 
 
 def _report_at(config: DeviceConfig, sample: _Sample, probe: float,
@@ -342,9 +397,9 @@ def _report_at(config: DeviceConfig, sample: _Sample, probe: float,
     """The one-row current_table at sample.t_w * probe: the sample's own,
     the one solved with it in ``extra``, or one more solve."""
     if probe == 1.0:
-        return _checked(sample.table)
+        return sample.report()
     if extra:
-        return _checked(extra[0].table)
+        return extra[0].report()
     return _solved_at(config, sample.t_w * probe)
 
 
@@ -390,9 +445,11 @@ def measure_temperature(config: DeviceConfig) -> ThermometerReading:
 
     The control temperature rises from T_h to _TW_MAX_FACTOR * T_h until
     the conductor current J_h changes sign. The first engine call solves
-    _RANGE_PROBES points of that range, uniform in 1 / T_w; the zero at
-    the first sign change going up is then found as in find_current_zero,
-    with _TW_MAX_FACTOR * T_h as hi. A failed solve below that sign change
+    _RANGE_PROBES points of that range, uniform in 1 / T_w, with the first
+    step at the closed-form root equilibrium_tw, which usually certifies
+    the reading in that one call; the zero at the first sign change going
+    up is found as in find_current_zero, with _TW_MAX_FACTOR * T_h as hi,
+    and no call takes T_w slopes. A failed solve below that sign change
     raises, and so does a reading outside (xi * T_h, T_h]. The config's
     cold-bath temperature plays the hidden sample temperature; the reading
     must reproduce it.
@@ -404,8 +461,8 @@ def measure_temperature(config: DeviceConfig) -> ThermometerReading:
     t_w_max = _TW_MAX_FACTOR * t_h
     config.with_bath_temperature("w", t_w_max)  # the model's check
     row = stack_points([config])
-    samples = _samples(row, "h", _probe_grid(t_h, t_w_max, _RANGE_PROBES))
-    found = _sign_change(config, row, "h", samples)
+    found = _sign_change(config, row, "h", _probed(
+        config, row, "h", _probe_grid(t_h, t_w_max, _RANGE_PROBES), 1.0))
     if found is None:
         raise MeasurementRangeError(
             "sample below measurable range: J_h kept its sign up to "
@@ -450,6 +507,11 @@ class PhasePoint:
 
 #: amplifier classes of the points with an amplification factor
 _ALPHA_CLASSES = ("amplifier", "contraction")
+
+#: the classes of _classified's integer codes, by code
+_FUNCTION_CLASSES = np.array(["heater", "refrigerator", "valve", "error"])
+_AMPLIFIER_CLASSES = np.array(["contraction", "amplifier", "undefined",
+                               "error"])
 
 
 @dataclass(frozen=True)
@@ -540,8 +602,8 @@ def _classified(t_w: np.ndarray, g: np.ndarray,
     scale = magnitudes[:, 0]
     for candidate in (magnitudes[:, 1], magnitudes[:, 2], 1e-300):
         scale = np.where(candidate > scale, candidate, scale)
-    function = np.where(magnitudes[:, 1] < VALVE_TOLERANCE * scale, "valve",
-                        np.where(j_c > 0, "refrigerator", "heater"))
+    function = (j_c > 0).astype(np.intp)
+    function[magnitudes[:, 1] < VALVE_TOLERANCE * scale] = 2
     d_jc, d_jw = table.slopes[:, 1], table.slopes[:, 2]
     # Python floats overflow, and divide by the zero slopes this skips,
     # without a word; so do these
@@ -549,12 +611,13 @@ def _classified(t_w: np.ndarray, g: np.ndarray,
         undefined = (np.abs(d_jw) * np.where(t_w > 1.0, t_w, 1.0)
                      < AMPLIFIER_RESPONSE_FLOOR * scale)
         alpha = np.abs(d_jc / d_jw)
-    amplifier = np.where(undefined, "undefined",
-                         np.where(alpha > 1.0, "amplifier", "contraction"))
-    failed = np.array([error is not None for error in table.errors],
-                      dtype=bool)
-    function[failed] = amplifier[failed] = "error"
-    return PhaseMap(t_w, g, table, alpha, function, amplifier)
+    amplifier = (alpha > 1.0).astype(np.intp)
+    amplifier[undefined] = 2
+    failed = [error is not None for error in table.errors]
+    if any(failed):
+        function[failed] = amplifier[failed] = 3
+    return PhaseMap(t_w, g, table, alpha, _FUNCTION_CLASSES[function],
+                    _AMPLIFIER_CLASSES[amplifier])
 
 
 def phase_map_csv(result: PhaseMap) -> str:

@@ -236,18 +236,21 @@ def reduced_partial_secular(points: np.ndarray) -> ReducedGenerators:
     channels = [_channel_weights(eig, label) for label in BATH_LABELS]
     frequencies = np.array([f for group, _ in channels for f in group])
     weights = np.array([w for _, group in channels for w in group])
-    bath = BathColumns(*points[:, _PAIR_COLUMNS].transpose(1, 2, 0))
-    bare = transition_rates(frequencies, bath)
+    bare = transition_rates(frequencies, BathColumns(*points.T[_PAIR_COLUMNS]))
     rates = np.array([weights * bare.down, weights * bare.up]).T  # (N, 9, 2)
     blocks = (rates.reshape(n, -1) @ _TEMPLATES).reshape(n, 3, 27)
     dissipators = blocks[:, :, :25].reshape(n, 3, 5, 5)
     unitary = (eig.omega_3 - eig.omega_2)[:, None, None] * _REDUCED_UNITARY
+    # the diagonal at rho_12 and rho_13: the baths' decay rates, and the
+    # rotation -2i (E_1 - E_k), E_1 = 0, set in place rather than added
+    decay = np.empty((n, 2), dtype=complex)
+    decay.real = blocks[:, :, 25:].sum(axis=1)
+    decay.imag = 2.0 * np.array([eig.omega_2, eig.omega_3]).T
     return ReducedGenerators(
         matrix=dissipators.sum(axis=1) + unitary,
         dissipators=dissipators,
         unitary=unitary,
-        decay=(blocks[:, :, 25:].sum(axis=1)
-               + 2j * np.array([eig.omega_2, eig.omega_3]).T),
+        decay=decay,
         eig=eig, out_of_domain=out_of_domain)
 
 

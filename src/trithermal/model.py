@@ -84,8 +84,9 @@ def eigensystem(omega_a, omega_b, g) -> EigenSystem:
     half_sum = 0.5 * (omega_a + omega_b)
     half_splitting = 0.5 * splitting
     phi = np.arctan2(coupling, delta)
-    c = np.cos(0.5 * phi)
-    s = np.sin(0.5 * phi)
+    half_phi = 0.5 * phi
+    c = np.cos(half_phi)
+    s = np.sin(half_phi)
     return EigenSystem(
         omega_2=half_sum - half_splitting,
         omega_3=half_sum + half_splitting,

@@ -156,9 +156,12 @@ _ROW_NO_COP = ",".join(["%s"] * 2 + ["%.17g"] * 6 + ["%.0s", "%s", "%.17g"])
 
 
 def _texts(values: np.ndarray) -> list[str]:
-    """The %.17g text of each of the float64 ``values``, formatted once per
-    distinct bit pattern: a cache keyed on the value would print -0.0 as 0
-    once 0.0 is in it."""
+    """The %.17g text of each of the float64 ``values``. More than a
+    block's worth are formatted once per distinct bit pattern (a cache
+    keyed on the value would print -0.0 as 0 once 0.0 is in it); fewer
+    cost less formatted one by one than the cache costs to build."""
+    if len(values) <= _CSV_BLOCK:
+        return [f"{value:.17g}" for value in values.tolist()]
     keys = values.view(np.int64).tolist()
     distinct = dict(zip(keys, values.tolist()))
     texts = {key: f"{value:.17g}" for key, value in distinct.items()}
@@ -174,13 +177,12 @@ def write_grid_csv(stream, t_w, g, table: CurrentTable, extra_columns,
 
     Coordinates and Carnot bounds, which repeat across a grid, are
     formatted once per distinct value. Rows of failed points go through
-    csv.writer, which quotes their fields as RFC 4180 requires; the extra
-    fields of the other rows must need no quoting.
+    csv.writer, which quotes their fields as RFC 4180 requires; the column
+    names and the extra fields of the other rows must need no quoting.
     """
-    rows = []
+    rows = [",".join([*CurrentReport.CSV_COLUMNS, *extra_columns]) + "\n"]
     writer = csv.writer(SimpleNamespace(write=rows.append),
                         lineterminator="\n")
-    writer.writerow([*CurrentReport.CSV_COLUMNS, *extra_columns])
     tail = ",%s" * len(extra_columns) + "\n"
     templates = _ROW + tail, _ROW_NO_COP + tail
     n = len(table.errors)
@@ -242,14 +244,16 @@ def _block_table(points: np.ndarray, values: np.ndarray,
     generators = reduced_partial_secular(points)
     errors = [FrequencyDomainError("transition frequency must be non-negative")
               if out else None for out in generators.out_of_domain]
-    v, v_ext, inverse = reduced_steady_states(generators, errors)
+    v, v_ext, inverse, dissipators_ext = reduced_steady_states(generators,
+                                                               errors)
 
     # Tr[H_S D_mu(rho)] sums the energy-weighted population rows (E_1 = 0);
-    # the two terms of the cold bath's sum are its 1<->2 and 1<->3 channels
-    eig = generators.eig
-    energies = np.array([eig.omega_2, eig.omega_3], dtype=v_ext.dtype).T
-    terms = ((generators.dissipators[:, :, 1:3].astype(v_ext.dtype)
-              @ v_ext[:, None, :, None])[..., 0] * energies[:, None, :])
+    # the two terms of the cold bath's sum are its 1<->2 and 1<->3 channels.
+    # The float64 energies multiply the extended rows exactly as extended
+    # ones would.
+    energies = np.array([generators.eig.omega_2, generators.eig.omega_3]).T
+    terms = ((dissipators_ext[:, :, 1:3] @ v_ext[:, None, :, None])[..., 0]
+             * energies[:, None, :])
     currents = values[:, :_J_C12]
     currents[:] = terms.sum(axis=2)
     values[:, _J_C12:_COHERENCE] = terms[:, 1]
@@ -280,14 +284,15 @@ def _block_table(points: np.ndarray, values: np.ndarray,
         flows = currents / temperatures
         values[:, _ENTROPY] = flows[:, 0] + flows[:, 1] + flows[:, 2]
     if slopes is not None:
-        slopes[:] = _tw_slopes(points, generators, v, inverse)
+        slopes[:] = _tw_slopes(points, generators, v, inverse, energies)
     return errors
 
 
 def _tw_slopes(points: np.ndarray, generators: ReducedGenerators,
-               v: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+               v: np.ndarray, inverse: np.ndarray,
+               energies: np.ndarray) -> np.ndarray:
     """(dJ_h/dT_w, dJ_c/dT_w, dJ_w/dT_w) of the stacked steady states v,
-    (N, 3).
+    (N, 3), with ``energies`` the (N, 2) energies (omega_2, omega_3).
 
     Implicit differentiation of the bordered system A v = e_1: only the
     work-bath dissipator D_w depends on T_w and the trace row does not, so
@@ -304,7 +309,6 @@ def _tw_slopes(points: np.ndarray, generators: ReducedGenerators,
     # rows of the three baths' flows, in BATH_LABELS order
     flows = generators.dissipators @ dv[:, None]
     flows[:, 2] += d_work_v
-    energies = np.array([generators.eig.omega_2, generators.eig.omega_3]).T
     return (flows[:, :, 1:3, 0] * energies[:, None, :]).sum(axis=2)
 
 

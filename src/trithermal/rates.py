@@ -75,15 +75,17 @@ def rate_temperature_slope(omega, bath: BathSpec | BathColumns):
     is 0. Floats or arrays, as transition_rates.
     """
     omega = np.asarray(omega, dtype=float)
-    with np.errstate(over="ignore"):  # as T -> 0; see x_large below
-        x = omega / bath.temperature
+    # n is exactly 0 from x ~ 745 on, and x is capped at 1e3 below, so
+    # raising T to 1e-3 w changes no slope: it keeps w / T from
+    # overflowing as T -> 0, with no np.errstate
+    x = omega / np.maximum(bath.temperature, 1e-3 * omega)
     damping = bath.gamma * np.exp(-omega / bath.cutoff)
     small = x <= SMALL_FREQUENCY_FACTOR
-    # n is exactly 0 from x ~ 745 on, so capping x keeps x^2 n at 0 there
-    # even where x overflows
     x_large = np.clip(x, SMALL_FREQUENCY_FACTOR, 1e3)
     n = np.exp(-x_large) / -np.expm1(-x_large)
-    x_small = np.where(small, x, 0.0)
-    slope = damping * np.where(small, 1.0 - x_small * x_small / 12.0,
-                               x_large * x_large * n * (1.0 + n))
+    slope = damping * (x_large * x_large * n * (1.0 + n))
+    if np.count_nonzero(small):
+        x_small = np.where(small, x, 0.0)
+        slope = np.where(small, damping * (1.0 - x_small * x_small / 12.0),
+                         slope)
     return slope[()]

@@ -127,7 +127,8 @@ def _certified(scale: np.ndarray, decay: np.ndarray, inverse: np.ndarray,
 
 def reduced_steady_states(
         generators: ReducedGenerators,
-        errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray]:
     """Steady states (p1, p2, p3, u, w) of stacked reduced generators.
 
     The steps of the tests' 9x9 reference solve (tests/reference.py) point
@@ -145,11 +146,12 @@ def reduced_steady_states(
     share one inverse of each 5x5 bordered matrix.
 
     Returns the double-precision states and the polished extended ones,
-    (N, 5) each, and the inverses of the bordered matrices, (N, 5, 5), for
-    the caller's further solves with them. Points whose entry in
-    ``errors`` is set are skipped; a point that fails here gets its
-    SteadyStateError there. The results of skipped and failed points are
-    meaningless.
+    (N, 5) each, the inverses of the bordered matrices, (N, 5, 5), for
+    the caller's further solves with them, and the bath dissipators in
+    extended precision, (N, 3, 5, 5), for the caller's energy traces.
+    Points whose entry in ``errors`` is set are skipped; a point that
+    fails here gets its SteadyStateError there. The results of skipped
+    and failed points are meaningless.
     """
     L = generators.matrix
     finite = np.isfinite(L).all(axis=(1, 2))
@@ -199,7 +201,8 @@ def reduced_steady_states(
                 errors[i] = SteadyStateError(
                     "steady-state residual above tolerance")
 
-    A_ext = generators.dissipators.astype(_EXTENDED).sum(axis=1)
+    dissipators = generators.dissipators.astype(_EXTENDED)
+    A_ext = dissipators.sum(axis=1)
     A_ext += generators.unitary
     A_ext[:, 0, :] = _TRACE_ROW
     if np.count_nonzero(usable) < len(usable):
@@ -208,7 +211,7 @@ def reduced_steady_states(
     for _ in range(2):
         residual = (A_ext @ v_ext - _UNIT_TRACE).astype(float)
         v_ext -= (inverse @ residual).astype(_EXTENDED)
-    return v[:, :, 0], v_ext[:, :, 0], inverse
+    return v[:, :, 0], v_ext[:, :, 0], inverse, dissipators
 
 
 def default_timestep(generators: ReducedGenerators) -> float:

@@ -9,9 +9,12 @@ takes the energy traces bath by bath. ``closed_form_currents`` evaluates the
 same currents from rates and matrix elements alone, an independent route
 that must agree with the trace route at roundoff level. At g = 0,
 ``detailed_balance_residual`` checks a diagonal state against the three
-uncoupled channels. ``bose_occupation`` and ``ohmic_spectral_density`` are
-the two factors of the rates in closed form, and ``classify_function`` and
-``response_ratio`` the phase map's scalar rules for one point.
+uncoupled channels, and ``exact_diagonal_populations`` and
+``exact_uncoupled_currents`` evaluate the package's closed forms of the
+uncoupled device in rationals, with no roundoff of their own.
+``bose_occupation`` and ``ohmic_spectral_density`` are the two factors of
+the rates in closed form, and ``classify_function`` and ``response_ratio``
+the phase map's scalar rules for one point.
 
 The package computes every current through ``observables.current_table``
 and every trajectory through ``solver.evolve``, both on the reduced block;
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -212,6 +216,46 @@ def detailed_balance_residual(config: DeviceConfig,
     r2 = c.up * p_1 + w.down * p_a - (w.up + c.down) * p_b
     r3 = h.up * p_1 + w.up * p_b - (h.down + w.down) * p_a
     return (r1, r2, r3)
+
+
+def _exact_uncoupled_rates(config: DeviceConfig) -> tuple[Fraction, ...]:
+    """The six float64 rates of the uncoupled device, (h.down, h.up,
+    c.down, c.up, w.down, w.up), as exact rationals."""
+    if config.system.g != 0.0:
+        raise ConfigError("the exact closed form requires g=0")
+    pairs = (transition_rates(config.system.omega_a, config.bath("h")),
+             transition_rates(config.system.omega_b, config.bath("c")),
+             transition_rates(config.system.delta, config.bath("w")))
+    return tuple(Fraction(float(rate)) for pair in pairs
+                 for rate in (pair.down, pair.up))
+
+
+def exact_diagonal_populations(config: DeviceConfig) -> tuple[Fraction, ...]:
+    """(p_1, p_b, p_a) of solver.analytic_diagonal_steady_state, its
+    formula evaluated in rationals from the same float64 rates."""
+    h_down, h_up, c_down, c_up, w_down, w_up = _exact_uncoupled_rates(config)
+    p_1 = c_down * (h_down + w_down) + h_down * w_up
+    p_b = c_up * (h_down + w_down) + h_up * w_down
+    p_a = h_up * (c_down + w_up) + c_up * w_up
+    norm = (h_down * c_down + c_down * w_down + h_down * w_up
+            + h_down * c_up + c_up * w_down + h_up * w_down
+            + h_up * c_down + c_up * w_up + h_up * w_up)
+    return p_1 / norm, p_b / norm, p_a / norm
+
+
+def exact_uncoupled_currents(config: DeviceConfig) -> tuple[Fraction, ...]:
+    """(J_h, J_c, J_w) of observables.uncoupled_currents at the exact
+    populations, in rationals from the same float64 rates and frequencies:
+    the g = 0 oracle where the float64 one's own roundoff, near
+    equilibrium, exceeds the bounds it is checked to."""
+    h_down, h_up, c_down, c_up, w_down, w_up = _exact_uncoupled_rates(config)
+    p_1, p_b, p_a = exact_diagonal_populations(config)
+    omega_a = Fraction(config.system.omega_a)
+    omega_b = Fraction(config.system.omega_b)
+    delta = Fraction(config.system.delta)
+    return (2 * omega_a * (h_up * p_1 - h_down * p_a),
+            2 * omega_b * (c_up * p_1 - c_down * p_b),
+            2 * delta * (w_up * p_b - w_down * p_a))
 
 
 def heat_current_trace(generator: Generator, rho_ss: DensityMatrix,

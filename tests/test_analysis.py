@@ -1,6 +1,7 @@
 import json
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,24 +174,19 @@ def test_roots_agree_with_brentq(config, which):
 @pytest.mark.parametrize("bad", ["nan", "zero", "wrong-way"])
 def test_search_without_usable_steps(monkeypatch, engine_calls, tolerance,
                                      bad):
-    """With every interpolated step NaN, of length 0 or in the wrong
-    direction, and the polishing Newton step's slope NaN, 0 or of the wrong
-    sign, the search bisects in u = 1 / T_w. It still returns a root
-    certified to the search's relative tolerance ``tolerance``, within one
-    call for the probe grid, one per halving of the grid's spacing down to
-    a bracket of 2 d, and one for the polish."""
-    interpolated, secant = analysis._interpolated_root, analysis._secant_slope
+    """With every interpolated step (the cubic Hermite root on the exact
+    T_w slopes) and the polish NaN, of length 0 or in the wrong direction,
+    the search bisects in u = 1 / T_w. It still returns a root certified
+    to the search's relative tolerance ``tolerance``, within one call for
+    the probe grid, one per halving of the grid's spacing down to a
+    bracket of 2 d, and one for the polish."""
+    interpolated = analysis._zero_between
 
-    def step(samples):
-        pivot = min(samples, key=lambda sample: abs(sample.j)).t_w
+    def step(low, high):
+        pivot = min((low, high), key=lambda sample: abs(sample.j)).t_w
         return {"nan": math.nan, "zero": pivot,
-                "wrong-way": 2.0 * pivot - interpolated(samples)}[bad]
-
-    def slope(low, high):
-        return {"nan": math.nan, "zero": 0.0,
-                "wrong-way": -secant(low, high)}[bad]
-    monkeypatch.setattr(analysis, "_interpolated_root", step)
-    monkeypatch.setattr(analysis, "_secant_slope", slope)
+                "wrong-way": 2.0 * pivot - interpolated(low, high)}[bad]
+    monkeypatch.setattr(analysis, "_zero_between", step)
     config = make_config()
     lo, hi = 1.0, 5.0
     root = find_current_zero(config, "c", (lo, hi))
@@ -223,10 +219,24 @@ def engine_calls(monkeypatch):
 
 
 def test_root_engine_calls(engine_calls):
+    """The FIG4 device (g = 0.02): the probe grid, bracket ends included,
+    the Hermite root over the probes around the sign change, and the
+    interpolated root over its flank, which x +- d certify."""
     find_current_zero(make_config(), "c", (1.0, 5.0))
-    # the probe grid, bracket ends included, in one call
     assert engine_calls[0] == analysis._BRACKET_PROBES
-    assert len(engine_calls) <= 5
+    assert len(engine_calls) <= 3
+
+
+@pytest.mark.parametrize("which", ["c", "h"])
+def test_root_engine_calls_at_g0(engine_calls, which):
+    """The first call solves the probe grid and the first step at the
+    closed-form root x = equilibrium_tw (x, x +- d and x +- _FLANK x),
+    which certifies it; a polish takes a second call at most."""
+    t_w = find_current_zero(make_config(g=0.0), which, (1.0, 5.0))
+    assert engine_calls[0] == analysis._BRACKET_PROBES + 5
+    assert len(engine_calls) <= 2
+    assert t_w == pytest.approx(equilibrium_tw(1.0, 0.8, 1.0, 0.85),
+                                rel=1e-13)
 
 
 def config_file(config, path):
@@ -261,14 +271,14 @@ def test_valve_reuses_the_report_at_its_root(engine_calls, tmp_path,
 def test_refrigerator_reuses_the_report_at_its_probe(engine_calls,
                                                      tmp_path, capsys):
     """The refrigerator's CSV row, at the onset times 1 + 1e-6, is solved
-    with the search's last step; the whole answer takes at most 5 calls."""
+    with the search's last step; the whole answer takes at most 3 calls."""
     from trithermal.cli import main
 
     config = make_config()
     path = config_file(config, tmp_path / "config.json")
     assert main(["refrigerator", "--config", str(path),
                  "--bracket", "1:5"]) == 0
-    assert len(engine_calls) <= 5
+    assert len(engine_calls) <= 3
     onset = find_current_zero(config, "c", (1.0, 5.0))
     probe = onset * (1.0 + 1e-6)
     row = capsys.readouterr().out.split("\n")[1].split(",")
@@ -278,21 +288,58 @@ def test_refrigerator_reuses_the_report_at_its_probe(engine_calls,
 
 def test_thermometer_engine_calls(engine_calls):
     measure_temperature(thermometer_config(0.7))
-    assert engine_calls[0] == analysis._RANGE_PROBES
-    assert len(engine_calls) <= 5
+    # the range's probes and the first step at the closed-form root
+    assert engine_calls[0] == analysis._RANGE_PROBES + 5
+    assert len(engine_calls) <= 2
 
 
 def test_only_the_amplifier_takes_derivatives(monkeypatch):
-    """Grids, root finders and the thermometer do no derivative work."""
+    """Grids, root searches at g = 0 and the thermometer do no derivative
+    work; the amplifier, and root searches at g > 0, do."""
     def forbidden(*args):
         raise AssertionError("T_w derivatives taken")
     monkeypatch.setattr(observables, "_tw_slopes", forbidden)
     config = make_config()
     current_table(stack_points([config, config])).reports()
-    find_current_zero(config, "c", (1.0, 5.0))
+    for which in ("c", "h"):
+        find_current_zero(config.with_coupling(0.0), which, (1.0, 5.0))
+    analysis._current_zero(config.with_coupling(0.0), "c", (1.0, 5.0),
+                           probe=1.0 + 1e-6)
     measure_temperature(thermometer_config(0.7))
     with pytest.raises(AssertionError, match="derivatives taken"):
         amplification_factor(config, 6.0)
+    with pytest.raises(AssertionError, match="derivatives taken"):
+        find_current_zero(config, "c", (1.0, 5.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operating_devices(st.just(0.0) | st.floats(0.0, 0.05,
+                                                  exclude_min=True)),
+       st.sampled_from([("c", 1.0), ("h", 1.0), ("c", 1.0 + 1e-6)]))
+def test_engine_call_budget(config, search):
+    """Over the bracket of test_root_contract, a valve search (J_c or J_h)
+    or a refrigerator's (J_c, with its probe row) takes at most 2 engine
+    calls at g = 0, the first without T_w slopes, and at most 3 at g > 0."""
+    which, probe = search
+    calls = []
+
+    def counting(points, **options):
+        calls.append(options.get("tw_slopes", False))
+        return current_table(points, **options)
+    expected = equilibrium_tw(1.0, config.system.omega_b, 1.0,
+                              config.temperature("c"))
+    with mock.patch.object(analysis, "current_table", counting):
+        try:
+            analysis._current_zero(config, which,
+                                   (0.5 * expected, 3.0 * expected), probe)
+        except BracketError:
+            if config.system.g == 0.0:
+                raise
+            reject()
+    if config.system.g == 0.0:
+        assert len(calls) <= 2 and not calls[0]
+    else:
+        assert len(calls) <= 3
 
 
 def reference_walk(config, t_w_max):

@@ -38,7 +38,12 @@ from trithermal.observables import (
     uncoupled_currents,
 )
 
-from reference import build_partial_secular, steady_state, steady_state_report
+from reference import (
+    build_partial_secular,
+    exact_uncoupled_currents,
+    steady_state,
+    steady_state_report,
+)
 
 CURRENTS = ("j_h", "j_c", "j_w", "j_c12", "j_c13")
 
@@ -128,8 +133,8 @@ def test_uncoupled_device_matches_the_closed_form(config):
     analytic = analytic_diagonal_steady_state(config)
     oracle = uncoupled_currents(config, analytic)
     errors = [None]
-    states, _, _ = reduced_steady_states(
-        reduced_partial_secular(stack_points([config])), errors)
+    states = reduced_steady_states(
+        reduced_partial_secular(stack_points([config])), errors)[0]
     assert errors == [None]
     assert np.max(np.abs(states[0, :3] - analytic.populations)) < 1e-10
     report = one(config)
@@ -137,6 +142,34 @@ def test_uncoupled_device_matches_the_closed_form(config):
     for name in CURRENTS:
         assert abs(getattr(report, name) - getattr(oracle, name)) <= bound
     assert report.coherence_abs <= 1e-10
+
+
+#: uncoupled devices near equilibrium, (omega_b, (T_h, T_c, T_w), gammas,
+#: cutoffs), where the float64 closed form of the g = 0 oracle is off by
+#: 1.41 and 1.44 times 1e-10 of the currents' own scale
+NEAR_EQUILIBRIUM = [
+    (0.5043361407246663, (1.0, 0.5908860328719284, 3.384151803542663),
+     (0.0072237490291084455, 0.013154739202035132, 0.015286261626743748),
+     (96.54649169616779, 92.47260018869747, 68.04830703620371)),
+    (0.7135844050873441, (1.0, 0.8843378598951053, 1.4833496931035641),
+     (0.010126950438050196, 0.010281145655442098, 0.005302109120251771),
+     (94.30956105106398, 23.02118677162734, 67.82013464276115)),
+]
+
+
+@pytest.mark.parametrize("omega_b, temperatures, gammas, cutoffs",
+                         NEAR_EQUILIBRIUM)
+def test_uncoupled_currents_near_equilibrium_match_the_exact_closed_form(
+        omega_b, temperatures, gammas, cutoffs):
+    """Criterion 8's 1e-10 at the scale of the currents themselves, against
+    the closed form evaluated exactly from the same float64 rates."""
+    config = device(omega_b, 0.0, temperatures, gammas, cutoffs)
+    report = one(config)
+    exact = [float(j) for j in exact_uncoupled_currents(config)]
+    scale = max(abs(report.j_h), abs(report.j_c), abs(report.j_w))
+    assert scale < 1e-7  # near equilibrium
+    for value, oracle in zip((report.j_h, report.j_c, report.j_w), exact):
+        assert abs(value - oracle) <= 1e-10 * scale
 
 
 def test_grid_longer_than_one_block_equals_single_points():
