@@ -6,16 +6,12 @@ and work baths, with or without inner coupling between the excited levels.
 """
 
 from .model import (
-    BARE,
-    EIGEN,
     POINT_COLUMNS,
     BathSpec,
     ConfigError,
-    DensityMatrix,
     DeviceConfig,
     EigenSystem,
     SystemParams,
-    diagonalize,
     stack_points,
 )
 from .rates import RatePair, transition_rates
@@ -43,7 +39,6 @@ from .analysis import (
     BracketError,
     MeasurementRangeError,
     PhaseMap,
-    PhasePoint,
     SweepGrid,
     ThermometerReading,
     amplification_factor,

@@ -125,9 +125,13 @@ def _solved_at(config: DeviceConfig, t_w: float,
                tw_slopes: bool = False) -> CurrentTable:
     """The one-row current_table of ``config`` with the work bath at t_w;
     raises the point's error."""
-    config.with_bath_temperature("w", t_w)  # the model's check
-    sample, = _samples(stack_points([config]), "h", [t_w], tw_slopes)
-    return sample.report()
+    table = current_table(
+        stack_points([config.with_bath_temperature("w", t_w)]),
+        tw_slopes=tw_slopes)
+    error, = table.errors
+    if error is not None:
+        raise error
+    return table
 
 
 def _points_at(row: np.ndarray, temperatures) -> np.ndarray:
@@ -492,19 +496,6 @@ def amplification_factor(config: DeviceConfig, t_w: float) -> float:
     return float(point.alpha_j[0])
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """One grid point of the thermal-function phase map."""
-
-    t_w: float
-    g: float
-    report: CurrentReport | None
-    alpha_j: float | None
-    function_class: str
-    amplifier_class: str
-    error: str = ""
-
-
 #: amplifier classes of the points with an amplification factor
 _ALPHA_CLASSES = ("amplifier", "contraction")
 
@@ -531,18 +522,6 @@ class PhaseMap:
     alpha_j: np.ndarray
     function_class: np.ndarray
     amplifier_class: np.ndarray
-
-    def points(self) -> list[PhasePoint]:
-        """The map as one PhasePoint per grid point."""
-        return [PhasePoint(t_w, g, None if failed else report,
-                           alpha if amplifier in _ALPHA_CLASSES else None,
-                           function, amplifier, str(report) if failed else "")
-                for t_w, g, report, failed, alpha, function, amplifier in zip(
-                    self.t_w.tolist(), self.g.tolist(),
-                    self.table.reports(),
-                    [error is not None for error in self.table.errors],
-                    self.alpha_j.tolist(), self.function_class.tolist(),
-                    self.amplifier_class.tolist())]
 
 
 def phase_map(config: DeviceConfig, tw_values, g_values) -> PhaseMap:

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .model import EIGEN, BathSpec, ConfigError, DensityMatrix, DeviceConfig, SystemParams, point_column, stack_points
+from .model import BathSpec, ConfigError, DeviceConfig, SystemParams, point_column, stack_points
 from .generator import reduced_partial_secular
 from .rates import FrequencyDomainError
 from .solver import SteadyStateError, StepSizeError, evolve, trajectory_csv
@@ -92,6 +92,8 @@ def load_config(path: str) -> DeviceConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(
                 f"config is not valid UTF-8 JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError("config is nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _require_keys(raw, {"system", "baths"}, {"system", "baths"}, "config")
@@ -260,7 +262,7 @@ def cmd_dynamics(args) -> int:
     if not args.t_final > 0:
         raise ConfigError("--t-final must be positive")
     trajectory = evolve(reduced_partial_secular(stack_points([config])),
-                        DensityMatrix.pure(args.initial, EIGEN), args.t_final,
+                        np.eye(5)[args.initial - 1], args.t_final,
                         dt=args.dt, sample_stride=args.stride)
     _emit(trajectory_csv(trajectory), args.out)
     _summary(f"dynamics: {len(trajectory.times)} samples to t = "

@@ -16,10 +16,6 @@ import numpy as np
 
 BATH_LABELS = ("h", "c", "w")
 
-#: basis tags carried by density matrices and generators
-EIGEN = "eigen"  # eigenbasis {|1>, |2>, |3>} of the coupled system
-BARE = "bare"    # bare basis {|1>, |b>, |a>} used when g = 0
-
 
 class ConfigError(ValueError):
     """A parameter record violates one of its invariants."""
@@ -51,7 +47,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Derived quantities of the diagonalized excited-state block.
+    """Derived quantities of the excited-state block in its eigenbasis.
 
     f2 and f3 are the squared overlaps of the excited eigenstates with the
     bare levels, f1 the interference weight; f2 + f3 = 1 and f1^2 = f2 * f3.
@@ -67,17 +63,13 @@ class EigenSystem:
     f3: float
 
 
-def diagonalize(system: SystemParams) -> EigenSystem:
-    """Diagonalize the excited 2x2 block of the system Hamiltonian.
+def eigensystem(omega_a, omega_b, g) -> EigenSystem:
+    """Diagonalize the excited 2x2 block of the system Hamiltonian, on
+    floats or on arrays over stacked points.
 
     The mixing angle uses a two-argument arctangent so the degenerate case
     delta = 0 lands on phi = pi/2 instead of dividing by zero.
     """
-    return eigensystem(system.omega_a, system.omega_b, system.g)
-
-
-def eigensystem(omega_a, omega_b, g) -> EigenSystem:
-    """``diagonalize`` on raw parameters, floats or arrays over stacked points."""
     delta = omega_a - omega_b
     coupling = 2.0 * g
     splitting = np.hypot(coupling, delta)
@@ -202,54 +194,3 @@ def stack_points(configs) -> np.ndarray:
 def point_column(points: np.ndarray, name: str) -> np.ndarray:
     """One named column (see POINT_COLUMNS) of stacked device points."""
     return points[:, POINT_COLUMNS.index(name)]
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """3x3 state of the system, tagged with the basis it is written in."""
-
-    matrix: np.ndarray
-    basis: str
-
-    def __post_init__(self):
-        if self.basis not in (EIGEN, BARE):
-            raise ConfigError(f"unknown basis tag {self.basis!r}")
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (3, 3):
-            raise ConfigError("density matrix must be 3x3")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def pure(cls, level: int, basis: str) -> "DensityMatrix":
-        """Projector onto one of the levels 1, 2, 3 (or 1, b, a)."""
-        if level not in (1, 2, 3):
-            raise ConfigError("level must be 1, 2 or 3")
-        m = np.zeros((3, 3), dtype=complex)
-        m[level - 1, level - 1] = 1.0
-        return cls(m, basis)
-
-    @classmethod
-    def from_populations(cls, populations, basis: str) -> "DensityMatrix":
-        return cls(np.diag(np.asarray(populations, dtype=complex)), basis)
-
-    @property
-    def populations(self) -> np.ndarray:
-        return self.matrix.diagonal().real.copy()
-
-    @property
-    def excited_coherence(self) -> complex:
-        """Off-diagonal element between the two excited levels."""
-        return complex(self.matrix[1, 2])
-
-    def check(self) -> "DensityMatrix":
-        """Raise unless Hermitian and of unit trace to 1e-12, with no
-        eigenvalue below -1e-8."""
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ConfigError("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > 1e-12:
-            raise ConfigError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < -1e-8:
-            raise ConfigError("density matrix has a negative eigenvalue")
-        return self

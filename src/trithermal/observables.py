@@ -18,13 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    BARE,
-    POINT_COLUMNS,
-    ConfigError,
-    DensityMatrix,
-    DeviceConfig,
-)
+from .model import POINT_COLUMNS, ConfigError, DeviceConfig
 from .generator import (
     ReducedGenerators,
     reduced_partial_secular,
@@ -312,20 +306,18 @@ def _tw_slopes(points: np.ndarray, generators: ReducedGenerators,
     return (flows[:, :, 1:3, 0] * energies[:, None, :]).sum(axis=2)
 
 
-def uncoupled_currents(config: DeviceConfig,
-                       rho_ss: DensityMatrix) -> CurrentReport:
-    """Currents of the uncoupled device from its diagonal steady state."""
+def uncoupled_currents(config: DeviceConfig, populations) -> CurrentReport:
+    """Currents of the uncoupled device from the populations (p_1, p_b,
+    p_a) of the bare levels in its diagonal steady state."""
     if config.system.g != 0.0:
         raise ConfigError("uncoupled currents require g=0")
-    if rho_ss.basis != BARE:
-        raise ConfigError("uncoupled currents expect a bare-basis state")
     omega_a = config.system.omega_a
     omega_b = config.system.omega_b
     delta = config.system.delta
     h = transition_rates(omega_a, config.bath("h"))
     c = transition_rates(omega_b, config.bath("c"))
     w = transition_rates(delta, config.bath("w"))
-    p_1, p_b, p_a = rho_ss.populations
+    p_1, p_b, p_a = populations
 
     j_c = 2.0 * omega_b * (c.up * p_1 - c.down * p_b)
     j_h = 2.0 * omega_a * (h.up * p_1 - h.down * p_a)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BARE, EIGEN, ConfigError, DensityMatrix, DeviceConfig
+from .model import ConfigError, DeviceConfig
 from .generator import ReducedGenerators
 from .rates import FrequencyDomainError, transition_rates
 
@@ -20,7 +20,7 @@ from .rates import FrequencyDomainError, transition_rates
 # used only to polish steady states before taking energy traces
 _EXTENDED = np.longdouble
 
-#: most samples a trajectory holds; each is a 5-vector and a density matrix
+#: most samples a trajectory holds; each is a 5-vector and a 3x3 matrix
 MAX_SAMPLES = 10 ** 6
 
 
@@ -251,35 +251,33 @@ class Trajectory:
     def matrices(self) -> np.ndarray:
         return _density_matrices(self.states)
 
-    def final(self) -> DensityMatrix:
-        return DensityMatrix(_density_matrices(self.states[-1:])[0], EIGEN)
-
     def traces(self) -> np.ndarray:
         return self.states[:, :3].sum(axis=1)
 
 
-def evolve(generators: ReducedGenerators, rho0: DensityMatrix,
-           t_final: float, dt: float | None = None,
+def evolve(generators: ReducedGenerators, state0, t_final: float,
+           dt: float | None = None,
            sample_stride: int | None = None) -> Trajectory:
     """Fixed-step RK4 integration of the partial-secular master equation of
     one device point, on its closed block.
 
-    rho0 is an eigenbasis state with rho_12 = rho_13 = 0, as every pure
-    level is. Those coherences only decay, so they stay 0 and the closed
-    block carries the whole state. The one-step RK4 update of a linear,
+    state0 is the closed-block state (p1, p2, p3, u, w), rho_23 = u + i w,
+    that the integration starts from; np.eye(5)[level - 1] is a pure
+    level. The eigenbasis coherences rho_12 and rho_13 only decay, so a
+    state that starts without them, as every pure level does, is carried
+    whole by the closed block. The one-step RK4 update of a linear,
     time-independent system is itself a fixed matrix, so strides of it are
-    applied between stored samples, by default about 1000 of them. The
-    trace is monitored, never renormalized, and drift beyond 1e-6 aborts
-    with a suggested step size. More than MAX_SAMPLES samples are refused
-    before anything is allocated.
+    applied between stored samples, by default about 1000 of them; a
+    positive t_final takes at least one. The trace is monitored, never
+    renormalized, and drift beyond 1e-6 aborts with a suggested step size.
+    More than MAX_SAMPLES samples are refused before anything is allocated.
     """
     if len(generators.matrix) != 1:
         raise ConfigError("evolve integrates the generator of one point")
-    if rho0.basis != EIGEN:
-        raise ConfigError("initial state basis does not match the generator")
-    m = rho0.matrix
-    if m[0, 1:].any() or m[1:, 0].any():
-        raise ConfigError("initial state has a nonzero rho_12 or rho_13")
+    v = np.asarray(state0, dtype=float)
+    if v.shape != (5,):
+        raise ConfigError("initial state must be the closed-block 5-vector "
+                          "(p1, p2, p3, u, w)")
     if dt is None:
         dt = default_timestep(generators)
     if not dt > 0:
@@ -291,30 +289,32 @@ def evolve(generators: ReducedGenerators, rho0: DensityMatrix,
         sample_stride = max(1, int(steps / 1000))
     if sample_stride < 1:
         raise ConfigError("sample_stride must be >= 1")
-    n_samples = math.ceil(t_final / (dt * sample_stride))
+    # one stride at least for a positive t_final, also where dt *
+    # sample_stride overflows to inf
+    n_samples = max(math.ceil(t_final / (dt * sample_stride)),
+                    int(t_final > 0))
     if n_samples > MAX_SAMPLES:
         raise ConfigError(f"{n_samples} samples exceed the limit of "
                           f"{MAX_SAMPLES}; raise dt or the sample stride")
     if generators.out_of_domain[0]:
         raise FrequencyDomainError("transition frequency must be non-negative")
 
-    hL = dt * generators.matrix[0]
-    step = np.eye(5)
-    for order in (4, 3, 2, 1):
-        step = np.eye(5) + (hL / order) @ step
-    stride_step = np.linalg.matrix_power(step, sample_stride)
-
-    v = np.array([m[0, 0].real, m[1, 1].real, m[2, 2].real, m[1, 2].real,
-                  m[1, 2].imag])
     states = [v]
-    for _ in range(n_samples):
-        v = stride_step @ v
-        drift = abs(v[0] + v[1] + v[2] - 1.0)
-        if not drift <= 1e-6:  # NaN too, where the step overflowed
-            raise StepSizeError(
-                f"step size too large: trace drift {drift:.3e}; "
-                f"retry with dt <= {dt / 10:.3e}", suggested_dt=dt / 10)
-        states.append(v)
+    # an overflowing step gives NaN states, which the drift check refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        hL = dt * generators.matrix[0]
+        step = np.eye(5)
+        for order in (4, 3, 2, 1):
+            step = np.eye(5) + (hL / order) @ step
+        stride_step = np.linalg.matrix_power(step, sample_stride)
+        for _ in range(n_samples):
+            v = stride_step @ v
+            drift = abs(v[0] + v[1] + v[2] - 1.0)
+            if not drift <= 1e-6:  # NaN too, where the step overflowed
+                raise StepSizeError(
+                    f"step size too large: trace drift {drift:.3e}; "
+                    f"retry with dt <= {dt / 10:.3e}", suggested_dt=dt / 10)
+            states.append(v)
     states = np.array(states)
     return Trajectory(
         times=np.arange(len(states)) * dt * sample_stride, states=states,
@@ -323,8 +323,9 @@ def evolve(generators: ReducedGenerators, rho0: DensityMatrix,
         dt=dt, sample_stride=sample_stride)
 
 
-def analytic_diagonal_steady_state(config: DeviceConfig) -> DensityMatrix:
-    """Closed-form diagonal steady state of the uncoupled device.
+def analytic_diagonal_steady_state(config: DeviceConfig) -> np.ndarray:
+    """Closed-form populations (p_1, p_b, p_a) of the bare levels in the
+    diagonal steady state of the uncoupled device.
 
     Ratios of products of the six bare rates over a nine-term normalization;
     valid only at g = 0 where the populations close among themselves.
@@ -341,8 +342,7 @@ def analytic_diagonal_steady_state(config: DeviceConfig) -> DensityMatrix:
     norm = (h.down * c.down + c.down * w.down + h.down * w.up
             + h.down * c.up + c.up * w.down + h.up * w.down
             + h.up * c.down + c.up * w.up + h.up * w.up)
-    return DensityMatrix.from_populations(
-        (p_1 / norm, p_b / norm, p_a / norm), BARE)
+    return np.array([p_1 / norm, p_b / norm, p_a / norm])
 
 
 def trajectory_csv(trajectory: Trajectory) -> str:

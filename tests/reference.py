@@ -12,6 +12,7 @@ that must agree with the trace route at roundoff level. At g = 0,
 uncoupled channels, and ``exact_diagonal_populations`` and
 ``exact_uncoupled_currents`` evaluate the package's closed forms of the
 uncoupled device in rationals, with no roundoff of their own.
+``check_density`` checks that a 3x3 matrix is a density matrix.
 ``bose_occupation`` and ``ohmic_spectral_density`` are the two factors of
 the rates in closed form, and ``classify_function`` and ``response_ratio``
 the phase map's scalar rules for one point.
@@ -30,12 +31,10 @@ from fractions import Fraction
 import numpy as np
 
 from trithermal.model import (
-    BARE,
     BATH_LABELS,
     ConfigError,
-    DensityMatrix,
     DeviceConfig,
-    diagonalize,
+    eigensystem,
 )
 from trithermal.generator import (
     _BUILDERS,
@@ -63,6 +62,10 @@ from trithermal.analysis import (
 PARTIAL_SECULAR = "partial_secular"
 FULL_SECULAR = "full_secular"
 
+#: the basis a Generator, and every 3x3 state of it, is written in
+EIGEN = "eigen"  # eigenbasis {|1>, |2>, |3>} of the coupled system
+BARE = "bare"    # bare basis {|1>, |b>, |a>} used when g = 0
+
 
 def vectorize(matrix: np.ndarray) -> np.ndarray:
     return np.asarray(matrix, dtype=complex).reshape(9, order="F")
@@ -70,6 +73,17 @@ def vectorize(matrix: np.ndarray) -> np.ndarray:
 
 def unvectorize(vector: np.ndarray) -> np.ndarray:
     return np.asarray(vector, dtype=complex).reshape((3, 3), order="F")
+
+
+def check_density(rho: np.ndarray) -> None:
+    """Raise ValueError unless the 3x3 matrix rho is Hermitian and of unit
+    trace to 1e-12, with no eigenvalue below -1e-8."""
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho) - 1.0) > 1e-12:
+        raise ValueError("density matrix trace differs from 1")
+    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -1e-8:
+        raise ValueError("density matrix has a negative eigenvalue")
 
 
 @dataclass(frozen=True)
@@ -101,7 +115,8 @@ def build_partial_secular(config: DeviceConfig) -> Generator:
     are retained, which is what sustains the steady-state coherence between
     the excited levels.
     """
-    eig = diagonalize(config.system)
+    eig = eigensystem(config.system.omega_a, config.system.omega_b,
+                      config.system.g)
     blocks = {}
     for label in BATH_LABELS:
         bath = config.bath(label)
@@ -112,7 +127,7 @@ def build_partial_secular(config: DeviceConfig) -> Generator:
     unitary = _unitary_block((0.0, eig.omega_2, eig.omega_3))
     matrix = unitary + blocks["h"] + blocks["c"] + blocks["w"]
     return Generator(matrix=matrix, unitary=unitary, dissipators=blocks,
-                     hamiltonian=hamiltonian, basis="eigen",
+                     hamiltonian=hamiltonian, basis=EIGEN,
                      mode=PARTIAL_SECULAR, config=config)
 
 
@@ -168,8 +183,9 @@ def build_full_secular(config: DeviceConfig) -> Generator:
 _EXTENDED = getattr(np, "complex256", np.complex128)
 
 
-def steady_state(generator: Generator) -> DensityMatrix:
-    """Unique null vector of the generator, normalized to unit trace.
+def steady_state(generator: Generator) -> np.ndarray:
+    """Unique null vector of the generator, normalized to unit trace, as a
+    3x3 density matrix in the generator's basis.
 
     One redundant row (the rho_11 diagonal row) is replaced by the trace
     constraint and the dense 9x9 system is solved directly; one step of
@@ -197,18 +213,17 @@ def steady_state(generator: Generator) -> DensityMatrix:
     if np.max(np.abs(L @ v)) > 1e-12 * scale * 9.0:
         raise SteadyStateError("steady-state residual above tolerance")
     rho = unvectorize(v)
-    return DensityMatrix(0.5 * (rho + rho.conj().T), generator.basis)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def detailed_balance_residual(config: DeviceConfig,
-                              rho: DensityMatrix) -> tuple[float, float, float]:
+                              rho: np.ndarray) -> tuple[float, float, float]:
     """Gain-minus-loss of each level under the three uncoupled channels."""
     if config.system.g != 0.0:
         raise ConfigError("detailed balance check requires g=0")
-    off_diagonal = rho.matrix - np.diag(rho.matrix.diagonal())
-    if np.max(np.abs(off_diagonal)) > 1e-10:
+    if np.max(np.abs(rho - np.diag(rho.diagonal()))) > 1e-10:
         raise ConfigError("detailed balance check requires a diagonal state")
-    p_1, p_b, p_a = rho.populations
+    p_1, p_b, p_a = rho.diagonal().real
     h = transition_rates(config.system.omega_a, config.bath("h"))
     c = transition_rates(config.system.omega_b, config.bath("c"))
     w = transition_rates(config.system.delta, config.bath("w"))
@@ -258,16 +273,16 @@ def exact_uncoupled_currents(config: DeviceConfig) -> tuple[Fraction, ...]:
             2 * delta * (w_up * p_b - w_down * p_a))
 
 
-def heat_current_trace(generator: Generator, rho_ss: DensityMatrix,
+def heat_current_trace(generator: Generator, rho_ss: np.ndarray,
                        bath_label: str) -> float:
     """Energy flow from one bath into the system, Tr[H_S D_mu(rho_ss)]."""
     flow = unvectorize(generator.dissipators[bath_label]
-                       @ vectorize(rho_ss.matrix))
+                       @ vectorize(rho_ss))
     return float(np.trace(generator.hamiltonian @ flow).real)
 
 
 def _polished_steady_vector(generator: Generator,
-                            rho_ss: DensityMatrix) -> np.ndarray:
+                            rho_ss: np.ndarray) -> np.ndarray:
     """Extended-precision refinement of a steady state for current traces.
 
     A double-precision steady state carries an L rho residual at its
@@ -284,7 +299,7 @@ def _polished_steady_vector(generator: Generator,
     b[_I11] = 1.0
     A_ext = A.astype(_EXTENDED)
     b_ext = b.astype(_EXTENDED)
-    v = vectorize(rho_ss.matrix).astype(_EXTENDED)
+    v = vectorize(rho_ss).astype(_EXTENDED)
     for _ in range(2):
         residual = A_ext @ v - b_ext
         v = v - np.linalg.solve(A, residual.astype(complex)).astype(_EXTENDED)
@@ -299,7 +314,7 @@ def _bath_current_polished(generator: Generator, bath_label: str,
 
 
 def steady_state_report(generator: Generator,
-                        rho_ss: DensityMatrix) -> CurrentReport:
+                        rho_ss: np.ndarray) -> CurrentReport:
     """Assemble the full current report from the per-bath trace currents."""
     config = generator.config
     v = _polished_steady_vector(generator, rho_ss)
@@ -313,7 +328,7 @@ def steady_state_report(generator: Generator,
         j_c12, j_c13 = cold_current_decomposition(config, rho_ss)
     return CurrentReport(
         j_h=j_h, j_c=j_c, j_w=j_w, j_c12=j_c12, j_c13=j_c13,
-        coherence_abs=abs(rho_ss.excited_coherence),
+        coherence_abs=abs(rho_ss[1, 2]),
         cop=_cop_or_none(j_c, j_w),
         carnot_cop=carnot_cop(temperatures),
         entropy_rate=entropy_production(j_h, j_c, j_w, temperatures),
@@ -321,14 +336,15 @@ def steady_state_report(generator: Generator,
 
 
 def cold_current_decomposition(config: DeviceConfig,
-                               rho_ss: DensityMatrix) -> tuple[float, float]:
+                               rho_ss: np.ndarray) -> tuple[float, float]:
     """Split the cold current over the 1<->2 and 1<->3 channels."""
-    eig = diagonalize(config.system)
+    eig = eigensystem(config.system.omega_a, config.system.omega_b,
+                      config.system.g)
     bath_c = config.bath("c")
     c_2 = transition_rates(eig.omega_2, bath_c)
     c_3 = transition_rates(eig.omega_3, bath_c)
-    p = rho_ss.populations
-    x = 2.0 * rho_ss.excited_coherence.real
+    p = rho_ss.diagonal().real
+    x = 2.0 * rho_ss[1, 2].real
     j_c12 = eig.omega_2 * (2.0 * eig.f2 * (c_2.up * p[0] - c_2.down * p[1])
                            - eig.f1 * c_3.down * x)
     j_c13 = eig.omega_3 * (2.0 * eig.f3 * (c_3.up * p[0] - c_3.down * p[2])
@@ -337,21 +353,20 @@ def cold_current_decomposition(config: DeviceConfig,
 
 
 def closed_form_currents(config: DeviceConfig,
-                         rho_ss: DensityMatrix) -> CurrentReport:
+                         rho_ss: np.ndarray) -> CurrentReport:
     """Currents of the coupled device from rates and matrix elements alone.
 
     Independent of the generator object: everything is evaluated from the
-    dressed rates and the steady-state entries, including the coherence
-    contributions to the hot and cold currents.
+    dressed rates and the entries of the eigenbasis steady state, including
+    the coherence contributions to the hot and cold currents.
     """
-    if rho_ss.basis != "eigen":
-        raise ConfigError("closed-form currents expect an eigenbasis state")
-    eig = diagonalize(config.system)
+    eig = eigensystem(config.system.omega_a, config.system.omega_b,
+                      config.system.g)
     h_2 = transition_rates(eig.omega_2, config.bath("h"))
     h_3 = transition_rates(eig.omega_3, config.bath("h"))
     w = transition_rates(eig.capital_omega, config.bath("w"))
-    p = rho_ss.populations
-    x = 2.0 * rho_ss.excited_coherence.real
+    p = rho_ss.diagonal().real
+    x = 2.0 * rho_ss[1, 2].real
 
     j_h = (2.0 * eig.omega_2 * eig.f3 * (h_2.up * p[0] - h_2.down * p[1])
            + 2.0 * eig.omega_3 * eig.f2 * (h_3.up * p[0] - h_3.down * p[2])
@@ -363,7 +378,7 @@ def closed_form_currents(config: DeviceConfig,
     temperatures = {label: config.temperature(label) for label in "hcw"}
     return CurrentReport(
         j_h=j_h, j_c=j_c, j_w=j_w, j_c12=j_c12, j_c13=j_c13,
-        coherence_abs=abs(rho_ss.excited_coherence),
+        coherence_abs=abs(rho_ss[1, 2]),
         cop=_cop_or_none(j_c, j_w),
         carnot_cop=carnot_cop(temperatures),
         entropy_rate=entropy_production(j_h, j_c, j_w, temperatures),

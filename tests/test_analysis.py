@@ -486,13 +486,12 @@ class TestAmplification:
 
 class TestPhaseMap:
     def test_function_flip_along_temperature(self):
-        points = phase_map(make_config(), [3.4, 3.6], [0.02]).points()
-        assert [p.function_class for p in points] == ["heater",
-                                                      "refrigerator"]
+        result = phase_map(make_config(), [3.4, 3.6], [0.02])
+        assert result.function_class.tolist() == ["heater", "refrigerator"]
 
     def test_row_major_order(self):
-        points = phase_map(make_config(), [3.0, 4.0], [0.0, 0.05]).points()
-        assert [(p.t_w, p.g) for p in points] == [
+        result = phase_map(make_config(), [3.0, 4.0], [0.0, 0.05])
+        assert list(zip(result.t_w.tolist(), result.g.tolist())) == [
             (3.0, 0.0), (3.0, 0.05), (4.0, 0.0), (4.0, 0.05)]
 
     def test_failures_are_recorded_not_raised(self):
@@ -501,20 +500,20 @@ class TestPhaseMap:
             baths=(BathSpec("h", 1.0, 0.0, 50.0),
                    BathSpec("c", 0.85, 0.0, 50.0),
                    BathSpec("w", 2.0, 0.0, 50.0)))
-        points = phase_map(config, [2.0], [0.0]).points()
-        assert points[0].function_class == "error"
-        assert "degenerate" in points[0].error
+        result = phase_map(config, [2.0], [0.0])
+        assert result.function_class.tolist() == ["error"]
+        assert "degenerate" in str(result.table.errors[0])
 
     def test_rejected_temperatures_are_recorded(self):
         """T_w <= 0 fails its row with the model's message; the other rows
         have their reports and amplification factors."""
-        points = phase_map(make_config(), [-1.0, 0.5, 3.6],
-                           [0.0, 0.02]).points()
-        assert [p.function_class for p in points[:2]] == ["error"] * 2
-        assert all(p.error == "bath w: temperature must be positive"
-                   for p in points[:2])
-        assert all(p.report is not None and p.alpha_j is not None
-                   for p in points[2:])
+        result = phase_map(make_config(), [-1.0, 0.5, 3.6], [0.0, 0.02])
+        assert result.function_class[:2].tolist() == ["error"] * 2
+        assert [str(error) for error in result.table.errors[:2]] == [
+            "bath w: temperature must be positive"] * 2
+        assert result.table.errors[2:] == [None] * 4
+        assert set(result.amplifier_class[2:].tolist()) <= {"amplifier",
+                                                            "contraction"}
 
     def test_one_engine_call(self, engine_calls):
         """Every accepted (T_w, g) point, and no other, in one call."""
@@ -523,11 +522,14 @@ class TestPhaseMap:
 
     def test_points_match_the_single_point_functions(self):
         config = make_config()
-        points = phase_map(config, [3.0, 6.0], [0.0, 0.05, 0.2]).points()
-        for p in points:
-            local = config.with_coupling(p.g)
-            assert p.report == currents_at(local, p.t_w)
-            assert p.alpha_j == amplification_factor(local, p.t_w)
+        result = phase_map(config, [3.0, 6.0], [0.0, 0.05, 0.2])
+        for t_w, g, report, alpha in zip(result.t_w.tolist(),
+                                         result.g.tolist(),
+                                         result.table.reports(),
+                                         result.alpha_j.tolist()):
+            local = config.with_coupling(g)
+            assert report == currents_at(local, t_w)
+            assert alpha == amplification_factor(local, t_w)
 
     def test_csv(self):
         result = phase_map(make_config(), [3.6], [0.02])
@@ -712,5 +714,5 @@ def test_amplifier_undefined_as_work_temperature_vanishes(t_w):
     assert math.isfinite(response.d_jc) and math.isfinite(response.d_jw)
     with pytest.raises(AmplifierUndefinedError):
         amplification_factor(config, t_w)
-    point, = phase_map(config, [t_w], [config.system.g]).points()
-    assert (point.alpha_j, point.amplifier_class) == (None, "undefined")
+    result = phase_map(config, [t_w], [config.system.g])
+    assert result.amplifier_class.tolist() == ["undefined"]

@@ -85,6 +85,17 @@ class TestConfigLoading:
     def test_missing_file(self):
         assert main(["sweep", "--config", "/nonexistent.json"]) == 1
 
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        """JSON nested past the parser's recursion limit is a config error
+        (exit 1, one line), not a RecursionError traceback."""
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"system": ' + "[" * depth + "]" * depth
+                        + ', "baths": []}')
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config is nested too deeply\n")
+
     @pytest.mark.parametrize("where, key", [
         ("system", "g"), ("bath", "gamma"), ("bath", "temperature")])
     @pytest.mark.parametrize("value", [math.nan, math.inf, "abc", None,
@@ -339,6 +350,21 @@ def test_dynamics_summary_names_the_last_sample(config_path, capsys):
     assert len(times) == 2 and times[0] == 0 and times[1] > 1
     assert captured.err.startswith(
         f"dynamics: 2 samples to t = {times[1]:g}, ")
+
+
+@pytest.mark.parametrize("argv", [["--dt", "1e300", "--stride", "10000000000"],
+                                  ["--dt", "1e300"]],
+                         ids=["stride-overflows", "step-overflows"])
+def test_overflowing_step_is_a_numerical_failure(config_path, capsys, argv):
+    """A step of 1e300 overflows the RK4 update: exit 2 with the drift
+    error and no floating-point warning, also where dt * stride overflows
+    to inf and t_final / (dt * stride) is 0: one stride is integrated."""
+    assert main(["dynamics", "--config", config_path(FIG4),
+                 "--t-final", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: step size too large: trace drift nan; "
+                            "retry with dt <= 1.000e+299\n")
 
 
 def test_dynamics_positivity_column(config_path, capsys):
@@ -617,19 +643,21 @@ def oracle_sweep_csv(coordinates, results):
     return buffer.getvalue()
 
 
-def oracle_phase_map_csv(points):
+def oracle_phase_map_csv(rows):
+    """The phase map's CSV of (T_w, g, report or exception, alpha_J,
+    function class, amplifier class) rows, written row by row."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(CurrentReport.CSV_COLUMNS)
                     + ["alpha_j", "function_class", "amplifier_class", "error"])
-    for p in points:
-        if p.report is None:
-            row = [f"{p.t_w:.17g}", f"{p.g:.17g}"] + [""] * 9
-        else:
-            row = oracle_csv_row(p.report, p.t_w, p.g)
-        alpha = "" if p.alpha_j is None else f"{p.alpha_j:.17g}"
-        writer.writerow(row + [alpha, p.function_class, p.amplifier_class,
-                               p.error])
+    for t_w, g, result, alpha, function, amplifier in rows:
+        error = isinstance(result, Exception)
+        row = ([f"{t_w:.17g}", f"{g:.17g}"] + [""] * 9 if error
+               else oracle_csv_row(result, t_w, g))
+        alpha = (f"{alpha:.17g}" if amplifier in ("amplifier", "contraction")
+                 else "")
+        writer.writerow(row + [alpha, function, amplifier,
+                               str(result) if error else ""])
     return buffer.getvalue()
 
 
@@ -710,11 +738,11 @@ def test_known_rows_round_trip():
     st.sampled_from(["amplifier", "contraction", "undefined", "error"])),
     max_size=8))
 def test_phase_map_csv_matches_the_per_row_writer(rows):
-    """A PhaseMap's CSV is the per-row writer's CSV of its points. Rows
-    hold a report or an error; alpha_J is printed for the amplifier and
+    """A PhaseMap's CSV is the per-row writer's CSV of the rows it holds.
+    Rows hold a report or an error; alpha_J is printed for the amplifier and
     contraction classes alone."""
     result = PhaseMap(*coordinates_of(rows), table_of(rows),
                       np.array([row[3] for row in rows], dtype=float),
                       np.array([row[4] for row in rows], dtype=str),
                       np.array([row[5] for row in rows], dtype=str))
-    assert phase_map_csv(result) == oracle_phase_map_csv(result.points())
+    assert phase_map_csv(result) == oracle_phase_map_csv(rows)

@@ -136,7 +136,7 @@ def test_uncoupled_device_matches_the_closed_form(config):
     states = reduced_steady_states(
         reduced_partial_secular(stack_points([config])), errors)[0]
     assert errors == [None]
-    assert np.max(np.abs(states[0, :3] - analytic.populations)) < 1e-10
+    assert np.max(np.abs(states[0, :3] - analytic)) < 1e-10
     report = one(config)
     bound = 1e-10 * generator_scale(config)
     for name in CURRENTS:

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trithermal.model import (
-    BARE,
-    EIGEN,
     BathSpec,
     ConfigError,
-    DensityMatrix,
     DeviceConfig,
     SystemParams,
-    diagonalize,
+    eigensystem,
 )
+
+from reference import check_density
 
 
 def make_config(omega_b=0.8, g=0.02, t_h=1.0, t_c=0.85, t_w=2.0):
@@ -51,16 +50,14 @@ class TestSystemParams:
 
 class TestDiagonalize:
     def test_matches_dense_eigensolver(self):
-        system = SystemParams(1.0, 0.8, 0.02)
-        eig = diagonalize(system)
-        block = np.array([[system.omega_a, system.g],
-                          [system.g, system.omega_b]])
+        eig = eigensystem(1.0, 0.8, 0.02)
+        block = np.array([[1.0, 0.02], [0.02, 0.8]])
         expected = np.linalg.eigvalsh(block)
         assert eig.omega_2 == pytest.approx(expected[0], rel=1e-14)
         assert eig.omega_3 == pytest.approx(expected[1], rel=1e-14)
 
     def test_uncoupled_limit(self):
-        eig = diagonalize(SystemParams(1.0, 0.8, 0.0))
+        eig = eigensystem(1.0, 0.8, 0.0)
         assert eig.phi == 0.0
         assert eig.f1 == 0.0
         assert eig.f2 == 1.0
@@ -69,7 +66,7 @@ class TestDiagonalize:
         assert eig.omega_3 == pytest.approx(1.0)
 
     def test_degenerate_levels(self):
-        eig = diagonalize(SystemParams(1.0, 1.0, 0.05))
+        eig = eigensystem(1.0, 1.0, 0.05)
         assert eig.phi == pytest.approx(math.pi / 2)
         assert eig.f2 == pytest.approx(0.5)
         assert eig.f3 == pytest.approx(0.5)
@@ -77,7 +74,7 @@ class TestDiagonalize:
 
     @given(st.floats(0.3, 0.99), st.floats(0.0, 0.3))
     def test_overlap_identities(self, omega_b, g):
-        eig = diagonalize(SystemParams(1.0, omega_b, g))
+        eig = eigensystem(1.0, omega_b, g)
         assert eig.f2 + eig.f3 == pytest.approx(1.0, abs=1e-14)
         assert eig.f1 ** 2 == pytest.approx(eig.f2 * eig.f3, abs=1e-14)
         assert eig.capital_omega == pytest.approx(eig.omega_3 - eig.omega_2,
@@ -89,8 +86,7 @@ class TestDiagonalize:
     @given(st.floats(0.3, 0.99), st.floats(1e-4, 0.3))
     def test_eigenvectors(self, omega_b, g):
         """(-sin, cos) and (cos, sin) rows diagonalize the excited block."""
-        system = SystemParams(1.0, omega_b, g)
-        eig = diagonalize(system)
+        eig = eigensystem(1.0, omega_b, g)
         block = np.array([[omega_b, g], [g, 1.0]])  # basis (|b>, |a>)
         c, s = math.cos(eig.phi / 2), math.sin(eig.phi / 2)
         v2 = np.array([c, -s])
@@ -149,35 +145,18 @@ class TestConfig:
 
 
 class TestDensityMatrix:
-    def test_pure(self):
-        rho = DensityMatrix.pure(2, EIGEN)
-        assert rho.populations.tolist() == [0.0, 1.0, 0.0]
-        assert rho.basis == EIGEN
-
-    def test_from_populations(self):
-        rho = DensityMatrix.from_populations([0.5, 0.3, 0.2], BARE)
-        assert np.trace(rho.matrix).real == pytest.approx(1.0)
-        assert rho.excited_coherence == 0.0
-
-    def test_bad_basis_tag(self):
-        with pytest.raises(ConfigError):
-            DensityMatrix(np.eye(3) / 3, "lab")
+    """The tests' check of a 3x3 density matrix (reference.check_density)."""
 
     def test_check_rejects_non_hermitian(self):
         m = np.eye(3, dtype=complex) / 3
         m[0, 1] = 0.1
-        with pytest.raises(ConfigError, match="Hermitian"):
-            DensityMatrix(m, EIGEN).check()
+        with pytest.raises(ValueError, match="Hermitian"):
+            check_density(m)
 
     def test_check_rejects_bad_trace(self):
-        with pytest.raises(ConfigError, match="trace"):
-            DensityMatrix.from_populations([0.5, 0.5, 0.5], EIGEN).check()
+        with pytest.raises(ValueError, match="trace"):
+            check_density(np.diag([0.5, 0.5, 0.5]))
 
     def test_check_rejects_negative(self):
-        with pytest.raises(ConfigError, match="negative"):
-            DensityMatrix.from_populations([1.2, -0.2, 0.0], EIGEN).check()
-
-    def test_matrix_is_frozen(self):
-        rho = DensityMatrix.pure(1, EIGEN)
-        with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 0.5
+        with pytest.raises(ValueError, match="negative"):
+            check_density(np.diag([1.2, -0.2, 0.0]))

@@ -1,11 +1,18 @@
-"""The package as shipped: its documented example runs, and importing it
-pulls in no test-only code."""
+"""The package as shipped: its documented example runs, importing it
+pulls in no test-only code, and the benchmark under bench/ finds what it
+uses of it."""
 
+import importlib.util
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from trithermal.model import BathSpec, DeviceConfig, SystemParams
+
+from reference import exact_uncoupled_currents
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,3 +45,36 @@ def test_package_imports_no_test_only_module():
     loaded = done.stdout.split()
     assert "trithermal.cli" in loaded
     assert [name for name in loaded if TEST_ONLY.fullmatch(name)] == []
+
+
+def bench_module(name, monkeypatch):
+    """bench/<name>.py, imported as the module bench_<name>."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while it executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_finds_what_it_uses_of_the_package(monkeypatch):
+    """bench/ imports the g = 0 oracle, which no command calls, and patches
+    CurrentReport.csv_row, which nothing under src/ calls: the oracle's
+    currents come out of the names bench/workloads.py imports, and the
+    tracer installs and restores its wrappers."""
+    workloads = bench_module("workloads", monkeypatch)
+    config = DeviceConfig(SystemParams(1.0, 0.8, 0.0),
+                          (BathSpec("h", 1.0, 0.008, 50.0),
+                           BathSpec("c", 0.85, 0.008, 50.0),
+                           BathSpec("w", 4.0, 0.008, 50.0)))
+    report = workloads.uncoupled_currents(
+        config, workloads.analytic_diagonal_steady_state(config))
+    currents = (report.j_h, report.j_c, report.j_w)
+    for value, exact in zip(currents, exact_uncoupled_currents(config)):
+        assert math.isclose(value, exact, rel_tol=1e-12)
+    tracer = bench_module("tracer", monkeypatch).Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.close()

@@ -10,14 +10,11 @@ from scipy.linalg import expm
 
 import trithermal.solver as solver
 from trithermal.model import (
-    BARE,
-    EIGEN,
     BathSpec,
     ConfigError,
-    DensityMatrix,
     DeviceConfig,
     SystemParams,
-    diagonalize,
+    eigensystem,
     stack_points,
 )
 from trithermal.generator import reduced_partial_secular
@@ -33,8 +30,10 @@ from trithermal.solver import (
 )
 
 from reference import (
+    EIGEN,
     build_full_secular,
     build_partial_secular,
+    check_density,
     detailed_balance_residual,
     steady_state,
     vectorize,
@@ -48,14 +47,20 @@ def reduced(config):
     return reduced_partial_secular(stack_points([config]))
 
 
+def pure(level):
+    """The closed-block state (p1, p2, p3, u, w) of a pure level, as evolve
+    takes it, and its 3x3 density matrix."""
+    return np.eye(5)[level - 1], np.diag(np.eye(3)[level - 1])
+
+
 class TestSteadyState:
     def test_null_vector_and_state_properties(self):
         gen = build_partial_secular(make_config())
         rho = steady_state(gen)
-        residual = np.max(np.abs(gen.matrix @ vectorize(rho.matrix)))
+        residual = np.max(np.abs(gen.matrix @ vectorize(rho)))
         assert residual < 1e-12 * np.max(np.abs(gen.matrix))
-        rho.check()
-        assert rho.basis == EIGEN
+        check_density(rho)
+        assert gen.basis == EIGEN
 
     def test_identical_baths_give_gibbs_state(self):
         """With all three terminals at one temperature the device must
@@ -67,17 +72,17 @@ class TestSteadyState:
                    BathSpec("c", t, 0.008, 50.0),
                    BathSpec("w", t, 0.008, 50.0)))
         rho = steady_state(build_partial_secular(config))
-        eig = diagonalize(config.system)
+        eig = eigensystem(1.0, 0.8, 0.05)
         weights = np.exp(-np.array([0.0, eig.omega_2, eig.omega_3]) / t)
         weights /= weights.sum()
-        assert np.max(np.abs(rho.populations - weights)) < 1e-12
-        assert abs(rho.excited_coherence) < 1e-13
+        assert np.max(np.abs(rho.diagonal().real - weights)) < 1e-12
+        assert abs(rho[1, 2]) < 1e-13
 
     def test_matches_analytic_oracle_at_zero_coupling(self):
         config = make_config(g=0.0)
         numeric = steady_state(build_full_secular(config))
         analytic = analytic_diagonal_steady_state(config)
-        assert np.max(np.abs(numeric.matrix - analytic.matrix)) < 1e-14
+        assert np.max(np.abs(numeric - np.diag(analytic))) < 1e-14
 
     def test_basis_covariance_at_zero_coupling(self):
         """Partial-secular (eigenbasis) and Lindblad (bare) routes agree on
@@ -85,7 +90,7 @@ class TestSteadyState:
         config = make_config(g=0.0)
         from_partial = steady_state(build_partial_secular(config))
         from_full = steady_state(build_full_secular(config))
-        assert np.max(np.abs(from_partial.matrix - from_full.matrix)) < 1e-13
+        assert np.max(np.abs(from_partial - from_full)) < 1e-13
 
     def test_decoupled_device_is_degenerate(self):
         config = DeviceConfig(
@@ -104,7 +109,7 @@ class TestAnalyticOracle:
 
     def test_detailed_balance_holds_at_oracle_state(self):
         config = make_config(g=0.0, t_c=0.5, t_w=3.0)
-        rho = analytic_diagonal_steady_state(config)
+        rho = np.diag(analytic_diagonal_steady_state(config))
         for residual in detailed_balance_residual(config, rho):
             assert abs(residual) < 1e-18
 
@@ -113,96 +118,96 @@ class TestAnalyticOracle:
         m = np.eye(3, dtype=complex) / 3
         m[1, 2] = m[2, 1] = 0.1
         with pytest.raises(ConfigError, match="diagonal"):
-            detailed_balance_residual(config, DensityMatrix(m, BARE))
+            detailed_balance_residual(config, m)
 
 
 class TestEvolve:
     def test_relaxes_to_steady_state(self):
         config = make_config()
-        trajectory = evolve(reduced(config), DensityMatrix.pure(1, EIGEN),
-                            2000.0, sample_stride=200)
+        trajectory = evolve(reduced(config), pure(1)[0], 2000.0,
+                            sample_stride=200)
         target = steady_state(build_partial_secular(config))
-        assert np.max(np.abs(trajectory.final().matrix - target.matrix)) < 1e-8
+        assert np.max(np.abs(trajectory.matrices()[-1] - target)) < 1e-8
 
     def test_steady_state_is_fixed_point(self):
         config = make_config()
         rho = steady_state(build_partial_secular(config))
-        trajectory = evolve(reduced(config), rho, 50.0, sample_stride=100)
-        assert np.max(np.abs(trajectory.final().matrix - rho.matrix)) < 1e-12
+        state = [*rho.diagonal().real, rho[1, 2].real, rho[1, 2].imag]
+        trajectory = evolve(reduced(config), state, 50.0, sample_stride=100)
+        assert np.max(np.abs(trajectory.matrices()[-1] - rho)) < 1e-12
 
     def test_trace_conserved(self):
-        trajectory = evolve(reduced(make_config()),
-                            DensityMatrix.pure(2, EIGEN), 200.0,
+        trajectory = evolve(reduced(make_config()), pure(2)[0], 200.0,
                             sample_stride=50)
         assert np.max(np.abs(trajectory.traces() - 1.0)) < 1e-9
 
     def test_fourth_order_accuracy(self):
         """Halving the step cuts the error against expm by about 2^4."""
         config = make_config()
-        rho0 = DensityMatrix.pure(2, EIGEN)
+        state0, rho0 = pure(2)
         t = 5.0
         exact = (expm(t * build_partial_secular(config).matrix)
-                 @ vectorize(rho0.matrix))
+                 @ vectorize(rho0))
 
         def error(dt):
-            final = evolve(reduced(config), rho0, t, dt=dt,
-                           sample_stride=int(round(t / dt))).final()
-            return np.max(np.abs(vectorize(final.matrix) - exact))
+            final = evolve(reduced(config), state0, t, dt=dt,
+                           sample_stride=int(round(t / dt))).matrices()[-1]
+            return np.max(np.abs(vectorize(final) - exact))
 
         ratio = error(0.2) / error(0.1)
         assert 10.0 < ratio < 22.0
 
     def test_large_step_raises(self):
         with pytest.raises(StepSizeError) as info:
-            evolve(reduced(make_config()), DensityMatrix.pure(1, EIGEN), 1e5,
-                   dt=600.0)
+            evolve(reduced(make_config()), pure(1)[0], 1e5, dt=600.0)
         assert info.value.suggested_dt == pytest.approx(60.0)
 
     def test_overflowing_step_raises(self):
         """A step whose RK4 update overflows gives a NaN trace, which is
         drift too, not a LinAlgError from the eigenvalues of NaN states."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(StepSizeError, match="drift nan"):
-                evolve(reduced(make_config()), DensityMatrix.pure(1, EIGEN),
-                       200.0, dt=1e300)
+        with pytest.raises(StepSizeError, match="drift nan"):
+            evolve(reduced(make_config()), pure(1)[0], 200.0, dt=1e300)
+
+    def test_positive_time_takes_one_stride(self):
+        """t_final / (dt * stride) may round to 0; a positive t_final is
+        still integrated over one stride."""
+        trajectory = evolve(reduced(make_config()), pure(1)[0], 5e-324,
+                            dt=0.01, sample_stride=10 ** 4)
+        assert trajectory.times.tolist() == [0.0, 100.0]
 
     def test_sample_count_is_capped(self, monkeypatch):
         """A run of more than MAX_SAMPLES samples is refused before
         anything is integrated; one of exactly MAX_SAMPLES runs."""
         monkeypatch.setattr(solver, "MAX_SAMPLES", 10)
         gen = reduced(make_config())
-        pure = DensityMatrix.pure(1, EIGEN)
-        assert len(evolve(gen, pure, 20.0, dt=1.0,
+        state0 = pure(1)[0]
+        assert len(evolve(gen, state0, 20.0, dt=1.0,
                           sample_stride=2).times) == 11
         with pytest.raises(ConfigError, match="11 samples exceed the limit "
                                               "of 10"):
-            evolve(gen, pure, 21.0, dt=1.0, sample_stride=2)
+            evolve(gen, state0, 21.0, dt=1.0, sample_stride=2)
 
     def test_argument_validation(self):
         gen = reduced(make_config())
-        pure = DensityMatrix.pure(1, EIGEN)
+        state0, rho0 = pure(1)
+        # the state is the closed-block 5-vector, not a 3x3 matrix
+        for wrong in (rho0, state0[:3], np.eye(5)):
+            with pytest.raises(ConfigError, match="5-vector"):
+                evolve(gen, wrong, 1.0)
         with pytest.raises(ConfigError):
-            evolve(gen, DensityMatrix.pure(1, BARE), 1.0)
+            evolve(gen, state0, 1.0, dt=-0.1)
         with pytest.raises(ConfigError):
-            evolve(gen, pure, 1.0, dt=-0.1)
-        with pytest.raises(ConfigError):
-            evolve(gen, pure, 1.0, sample_stride=0)
+            evolve(gen, state0, 1.0, sample_stride=0)
         # t_final / dt beyond the float range, with or without a stride
         for stride in (None, 5):
             with pytest.raises(ConfigError, match="finite number of steps"):
-                evolve(gen, pure, 1e10, dt=1e-300, sample_stride=stride)
-        # the closed block cannot carry rho_12 or rho_13
-        for entry in ((0, 1), (0, 2), (1, 0), (2, 0)):
-            m = np.eye(3, dtype=complex) / 3
-            m[entry] = 0.1j
-            with pytest.raises(ConfigError, match="rho_12 or rho_13"):
-                evolve(gen, DensityMatrix(m, EIGEN), 1.0)
+                evolve(gen, state0, 1e10, dt=1e-300, sample_stride=stride)
         with pytest.raises(ConfigError, match="one point"):
             evolve(reduced_partial_secular(stack_points([make_config()] * 2)),
-                   pure, 1.0)
+                   state0, 1.0)
         # omega_2 < 0 is outside the rates' domain, as for the 9x9 builder
         with pytest.raises(FrequencyDomainError):
-            evolve(reduced(make_config(g=1.2)), pure, 1.0)
+            evolve(reduced(make_config(g=1.2)), state0, 1.0)
 
     def test_default_timestep_scale(self):
         config = make_config()
@@ -228,8 +233,8 @@ def test_matches_the_9x9_exponential(config, level, t_final):
     """Each pure level's reduced trajectory against expm(t L) of the 9x9
     partial-secular generator, and at g = 0 of the Lindblad generator
     built from jump operators."""
-    rho0 = DensityMatrix.pure(level, EIGEN)
-    trajectory = evolve(reduced(config), rho0, t_final)
+    state0, rho0 = pure(level)
+    trajectory = evolve(reduced(config), state0, t_final)
     references = [build_partial_secular(config).matrix]
     if config.system.g == 0.0:
         references.append(build_full_secular(config).matrix)
@@ -240,13 +245,13 @@ def test_matches_the_9x9_exponential(config, level, t_final):
         t = trajectory.times[k]
         bound = EXPM_ERROR_PER_STEP * max(t / trajectory.dt, 1.0)
         for L in references:
-            exact = expm(t * L) @ vectorize(rho0.matrix)
+            exact = expm(t * L) @ vectorize(rho0)
             assert np.max(np.abs(vectorize(matrices[k]) - exact)) <= bound
 
 
 def test_trajectory_csv_shape():
-    trajectory = evolve(reduced(make_config()), DensityMatrix.pure(3, EIGEN),
-                        10.0, sample_stride=100)
+    trajectory = evolve(reduced(make_config()), pure(3)[0], 10.0,
+                        sample_stride=100)
     lines = trajectory_csv(trajectory).strip().split("\n")
     header = lines[0].split(",")
     assert header[0] == "t"
