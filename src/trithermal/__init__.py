@@ -29,9 +29,7 @@ from .observables import (
     CurrentReport,
     CurrentTable,
     UndefinedObservableError,
-    carnot_cop,
     current_table,
-    entropy_production,
     uncoupled_currents,
 )
 from .analysis import (

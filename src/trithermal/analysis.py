@@ -4,8 +4,8 @@ amplification factor, phase maps, and the thermometer protocol."""
 from __future__ import annotations
 
 import bisect
-import io
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -602,13 +602,15 @@ def _classified(t_w: np.ndarray, g: np.ndarray,
 def phase_map_csv(result: PhaseMap) -> str:
     """The phase map's CSV text; one row per grid point, deterministic
     order."""
-    amplifier = result.amplifier_class.tolist()
+    # one string per class, not per point: a large map's memory peaks in
+    # the writer's final join, which these lists live through
+    function = list(map(sys.intern, result.function_class.tolist()))
+    amplifier = list(map(sys.intern, result.amplifier_class.tolist()))
     alpha = [f"{value:.17g}" if kind in _ALPHA_CLASSES else ""
              for value, kind in zip(result.alpha_j.tolist(), amplifier)]
     errors = ["" if error is None else str(error)
               for error in result.table.errors]
-    buffer = io.StringIO()
-    write_grid_csv(buffer, result.t_w, result.g, result.table,
-                   ["alpha_j", "function_class", "amplifier_class", "error"],
-                   [alpha, result.function_class.tolist(), amplifier, errors])
-    return buffer.getvalue()
+    return write_grid_csv(
+        result.t_w, result.g, result.table,
+        ["alpha_j", "function_class", "amplifier_class", "error"],
+        [alpha, function, amplifier, errors])

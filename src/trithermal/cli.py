@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -166,9 +165,8 @@ def _sweep_csv(t_w, g, table: CurrentTable) -> tuple[str, int]:
     """CSV of points at coordinates (t_w, g) with their CurrentTable, and
     the number of failed points."""
     status = ["ok" if error is None else str(error) for error in table.errors]
-    buffer = io.StringIO()
-    write_grid_csv(buffer, t_w, g, table, ["status"], [status])
-    return buffer.getvalue(), len(table.errors) - table.errors.count(None)
+    return (write_grid_csv(t_w, g, table, ["status"], [status]),
+            len(table.errors) - table.errors.count(None))
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -86,30 +86,6 @@ def current_scale(j_h: float, j_c: float, j_w: float) -> float:
     return max(abs(j_h), abs(j_c), abs(j_w), 1e-300)
 
 
-def carnot_cop(temperatures: dict[str, float]) -> float:
-    """Carnot bound (beta_h - beta_w) / (beta_c - beta_h) on the COP."""
-    beta_h = 1.0 / temperatures["h"]
-    beta_c = 1.0 / temperatures["c"]
-    beta_w = 1.0 / temperatures["w"]
-    if beta_c == beta_h:
-        raise UndefinedObservableError("Carnot bound undefined at Tc = Th")
-    return (beta_h - beta_w) / (beta_c - beta_h)
-
-
-def entropy_production(j_h: float, j_c: float, j_w: float,
-                       temperatures: dict[str, float]) -> float:
-    """Clausius sum of J_mu / T_mu; non-positive at any steady state."""
-    return (j_h / temperatures["h"] + j_c / temperatures["c"]
-            + j_w / temperatures["w"])
-
-
-def _cop_or_none(j_c: float, j_w: float) -> float | None:
-    scale = current_scale(0.0, j_c, j_w)
-    if abs(j_w) <= COP_CURRENT_FLOOR * scale:
-        return None
-    return j_c / j_w
-
-
 class CurrentTable(NamedTuple):
     """Current reports of stacked device points as columns.
 
@@ -138,7 +114,7 @@ class CurrentTable(NamedTuple):
         return reports
 
 
-#: grid CSV rows formatted per write; bounds the floats and row texts
+#: grid CSV rows formatted per block; bounds the floats and row texts
 #: held at once
 _CSV_BLOCK = 128
 
@@ -162,11 +138,11 @@ def _texts(values: np.ndarray) -> list[str]:
     return list(map(texts.__getitem__, keys))
 
 
-def write_grid_csv(stream, t_w, g, table: CurrentTable, extra_columns,
-                   extra_fields) -> None:
-    """Write the CSV of grid points to ``stream``: a header of CSV_COLUMNS
-    and ``extra_columns``, then per point its coordinates t_w[i] and g[i],
-    the fields of its row of ``table`` (empty where it failed) and its
+def write_grid_csv(t_w, g, table: CurrentTable, extra_columns,
+                   extra_fields) -> str:
+    """The CSV text of grid points: a header of CSV_COLUMNS and
+    ``extra_columns``, then per point its coordinates t_w[i] and g[i], the
+    fields of its row of ``table`` (empty where it failed) and its
     ``extra_fields``, one list of strings per extra column (at least one).
 
     Coordinates and Carnot bounds, which repeat across a grid, are
@@ -182,8 +158,9 @@ def write_grid_csv(stream, t_w, g, table: CurrentTable, extra_columns,
     n = len(table.errors)
     texts = _texts(np.concatenate([t_w, g, table.values[:, _CARNOT]]))
     repeating = texts[:n], texts[n:2 * n], texts[2 * n:]
+    blocks = []
     for start in range(0, n, _CSV_BLOCK):
-        stream.write("".join(rows))
+        blocks.append("".join(rows))
         rows.clear()
         block = slice(start, start + _CSV_BLOCK)
         values = table.values[block]
@@ -197,7 +174,8 @@ def write_grid_csv(stream, t_w, g, table: CurrentTable, extra_columns,
                             % (t_w_text, g_text, *row, *extra))
             else:
                 writer.writerow([t_w_text, g_text, *[""] * 9, *extra])
-    stream.write("".join(rows))
+    blocks.append("".join(rows))
+    return "".join(blocks)
 
 
 #: slice of the T_h, T_c and T_w columns of stacked device points
@@ -230,11 +208,7 @@ def current_table(points: np.ndarray, tw_slopes: bool = False) -> CurrentTable:
 def _block_table(points: np.ndarray, values: np.ndarray,
                  slopes: np.ndarray | None) -> list:
     """Fill ``values`` (and ``slopes``) of one block of points; returns
-    the block's per-point errors.
-
-    Every column is computed in the float64 operations, and their order,
-    of the scalar carnot_cop, _cop_or_none and entropy_production.
-    """
+    the block's per-point errors."""
     generators = reduced_partial_secular(points)
     errors = [FrequencyDomainError("transition frequency must be non-negative")
               if out else None for out in generators.out_of_domain]
@@ -256,13 +230,24 @@ def _block_table(points: np.ndarray, values: np.ndarray,
         # NaN, unlike inf, raises no floating-point warning below
         currents[[error is not None for error in errors]] = math.nan
 
-    j_c, j_w = currents[:, _J_C], currents[:, _J_W]
+    _figures(values, points[:, _TEMPERATURES], errors)
+    if slopes is not None:
+        slopes[:] = _tw_slopes(points, generators, v, inverse, energies)
+    return errors
+
+
+def _figures(values: np.ndarray, temperatures: np.ndarray,
+             errors: list) -> None:
+    """Fill the COP, Carnot-bound and entropy-rate columns of ``values``
+    from its currents and the (N, 3) ``temperatures`` T_h, T_c, T_w; a
+    point at T_c = T_h without an error gets an UndefinedObservableError.
+    """
+    j_c, j_w = values[:, _J_C], values[:, _J_W]
     abs_w = np.abs(j_w)
     floor = COP_CURRENT_FLOOR * np.maximum(np.maximum(np.abs(j_c), abs_w),
                                            1e-300)
     values[:, _COP] = j_c / np.where(abs_w > floor, j_w, math.nan)
 
-    temperatures = points[:, _TEMPERATURES]
     beta = 1.0 / temperatures
     gap = beta[:, 1] - beta[:, 0]
     if np.count_nonzero(gap) < len(gap):
@@ -272,14 +257,11 @@ def _block_table(points: np.ndarray, values: np.ndarray,
                 errors[i] = UndefinedObservableError(
                     "Carnot bound undefined at Tc = Th")
         gap[undefined] = math.nan
-    # Python floats overflow to inf without a word; so do these
+    # a bound or flow past the float range is inf, as in the references
     with np.errstate(over="ignore"):
         values[:, _CARNOT] = (beta[:, 0] - beta[:, 2]) / gap
-        flows = currents / temperatures
+        flows = values[:, :_J_C12] / temperatures
         values[:, _ENTROPY] = flows[:, 0] + flows[:, 1] + flows[:, 2]
-    if slopes is not None:
-        slopes[:] = _tw_slopes(points, generators, v, inverse, energies)
-    return errors
 
 
 def _tw_slopes(points: np.ndarray, generators: ReducedGenerators,
@@ -308,7 +290,8 @@ def _tw_slopes(points: np.ndarray, generators: ReducedGenerators,
 
 def uncoupled_currents(config: DeviceConfig, populations) -> CurrentReport:
     """Currents of the uncoupled device from the populations (p_1, p_b,
-    p_a) of the bare levels in its diagonal steady state."""
+    p_a) of the bare levels in its diagonal steady state, with the COP,
+    Carnot bound and entropy rate of current_table's rule."""
     if config.system.g != 0.0:
         raise ConfigError("uncoupled currents require g=0")
     omega_a = config.system.omega_a
@@ -322,11 +305,11 @@ def uncoupled_currents(config: DeviceConfig, populations) -> CurrentReport:
     j_c = 2.0 * omega_b * (c.up * p_1 - c.down * p_b)
     j_h = 2.0 * omega_a * (h.up * p_1 - h.down * p_a)
     j_w = 2.0 * delta * (w.up * p_b - w.down * p_a)
-    temperatures = {label: config.temperature(label) for label in "hcw"}
-    return CurrentReport(
-        j_h=j_h, j_c=j_c, j_w=j_w, j_c12=j_c, j_c13=0.0,
-        coherence_abs=0.0,
-        cop=_cop_or_none(j_c, j_w),
-        carnot_cop=carnot_cop(temperatures),
-        entropy_rate=entropy_production(j_h, j_c, j_w, temperatures),
-    )
+    values = np.array([[j_h, j_c, j_w, j_c, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    temperatures = np.array([[config.temperature(label) for label in "hcw"]])
+    errors = [None]
+    _figures(values, temperatures, errors)
+    report, = CurrentTable(values, errors, None).reports()
+    if errors[0] is not None:
+        raise report
+    return report

@@ -46,8 +46,11 @@ def transition_rates(omega, bath: BathSpec | BathColumns) -> RatePair:
     if np.count_nonzero(omega < 0):
         raise FrequencyDomainError("transition frequency must be non-negative")
     T = bath.temperature
-    x = omega / T
-    damping = bath.gamma * np.exp(-omega / bath.cutoff)
+    # e^-x is exactly 0 from x ~ 745 on: raising T and wc to 1e-3 w caps
+    # w / T and w / wc at 1e3, so no rate changes and neither overflows
+    floor = 1e-3 * omega
+    x = omega / np.maximum(T, floor)
+    damping = bath.gamma * np.exp(-omega / np.maximum(bath.cutoff, floor))
     spectral = damping * omega
     # G(w) n(w) = G(w) e^-x / (1 - e^-x), which tends to 0 instead of
     # overflowing as x grows
@@ -75,11 +78,10 @@ def rate_temperature_slope(omega, bath: BathSpec | BathColumns):
     is 0. Floats or arrays, as transition_rates.
     """
     omega = np.asarray(omega, dtype=float)
-    # n is exactly 0 from x ~ 745 on, and x is capped at 1e3 below, so
-    # raising T to 1e-3 w changes no slope: it keeps w / T from
-    # overflowing as T -> 0, with no np.errstate
-    x = omega / np.maximum(bath.temperature, 1e-3 * omega)
-    damping = bath.gamma * np.exp(-omega / bath.cutoff)
+    # as in transition_rates, and x is capped at 1e3 below anyway
+    floor = 1e-3 * omega
+    x = omega / np.maximum(bath.temperature, floor)
+    damping = bath.gamma * np.exp(-omega / np.maximum(bath.cutoff, floor))
     small = x <= SMALL_FREQUENCY_FACTOR
     x_large = np.clip(x, SMALL_FREQUENCY_FACTOR, 1e3)
     n = np.exp(-x_large) / -np.expm1(-x_large)

@@ -29,7 +29,8 @@ class SteadyStateError(RuntimeError):
 
 
 class StepSizeError(RuntimeError):
-    """Trace drift revealed an unstable integration step."""
+    """Trace drift beyond tolerance; suggested_dt is None where it is
+    roundoff, which a smaller step does not reduce."""
 
     def __init__(self, message, suggested_dt):
         super().__init__(message)
@@ -269,7 +270,8 @@ def evolve(generators: ReducedGenerators, state0, t_final: float,
     time-independent system is itself a fixed matrix, so strides of it are
     applied between stored samples, by default about 1000 of them; a
     positive t_final takes at least one. The trace is monitored, never
-    renormalized, and drift beyond 1e-6 aborts with a suggested step size.
+    renormalized; drift beyond 1e-6 raises StepSizeError, which suggests
+    dt / 10 where the step is unstable and no step where it is stable.
     More than MAX_SAMPLES samples are refused before anything is allocated.
     """
     if len(generators.matrix) != 1:
@@ -310,10 +312,17 @@ def evolve(generators: ReducedGenerators, state0, t_final: float,
         for _ in range(n_samples):
             v = stride_step @ v
             drift = abs(v[0] + v[1] + v[2] - 1.0)
-            if not drift <= 1e-6:  # NaN too, where the step overflowed
+            if not drift <= 1e-6:
+                # unstable: the step overflowed (NaN drift) or its spectral
+                # radius tops 1, that of the stationary mode, to roundoff
+                if not (np.isfinite(step).all() and np.abs(
+                        np.linalg.eigvals(step)).max() <= 1.0 + 1e-12):
+                    raise StepSizeError(
+                        f"step size too large: trace drift {drift:.3e}; "
+                        f"retry with dt <= {dt / 10:.3e}", dt / 10)
                 raise StepSizeError(
-                    f"step size too large: trace drift {drift:.3e}; "
-                    f"retry with dt <= {dt / 10:.3e}", suggested_dt=dt / 10)
+                    f"trace drift {drift:.3e} is roundoff accumulated over "
+                    f"stable steps; a smaller dt only adds steps", None)
             states.append(v)
     states = np.array(states)
     return Trajectory(

@@ -13,6 +13,9 @@ uncoupled channels, and ``exact_diagonal_populations`` and
 ``exact_uncoupled_currents`` evaluate the package's closed forms of the
 uncoupled device in rationals, with no roundoff of their own.
 ``check_density`` checks that a 3x3 matrix is a density matrix.
+``carnot_cop``, ``entropy_production`` and ``_cop_or_none`` are the scalar
+figures of merit, the oracles of current_table's COP, Carnot-bound and
+entropy-rate columns, which compute them in the same float64 operations.
 ``bose_occupation`` and ``ohmic_spectral_density`` are the two factors of
 the rates in closed form, and ``classify_function`` and ``response_ratio``
 the phase map's scalar rules for one point.
@@ -47,11 +50,10 @@ from trithermal.generator import (
 from trithermal.rates import FrequencyDomainError, RatePair, transition_rates
 from trithermal.solver import SteadyStateError
 from trithermal.observables import (
+    COP_CURRENT_FLOOR,
     CurrentReport,
-    _cop_or_none,
-    carnot_cop,
+    UndefinedObservableError,
     current_scale,
-    entropy_production,
 )
 from trithermal.analysis import (
     AMPLIFIER_RESPONSE_FLOOR,
@@ -383,6 +385,32 @@ def closed_form_currents(config: DeviceConfig,
         carnot_cop=carnot_cop(temperatures),
         entropy_rate=entropy_production(j_h, j_c, j_w, temperatures),
     )
+
+
+def carnot_cop(temperatures: dict[str, float]) -> float:
+    """Carnot bound (beta_h - beta_w) / (beta_c - beta_h) on the COP."""
+    beta_h = 1.0 / temperatures["h"]
+    beta_c = 1.0 / temperatures["c"]
+    beta_w = 1.0 / temperatures["w"]
+    if beta_c == beta_h:
+        raise UndefinedObservableError("Carnot bound undefined at Tc = Th")
+    return (beta_h - beta_w) / (beta_c - beta_h)
+
+
+def entropy_production(j_h: float, j_c: float, j_w: float,
+                       temperatures: dict[str, float]) -> float:
+    """Clausius sum of J_mu / T_mu; non-positive at any steady state."""
+    return (j_h / temperatures["h"] + j_c / temperatures["c"]
+            + j_w / temperatures["w"])
+
+
+def _cop_or_none(j_c: float, j_w: float) -> float | None:
+    """J_c / J_w, or None where |J_w| is at most COP_CURRENT_FLOOR of the
+    current scale."""
+    scale = current_scale(0.0, j_c, j_w)
+    if abs(j_w) <= COP_CURRENT_FLOOR * scale:
+        return None
+    return j_c / j_w
 
 
 def bose_occupation(omega: float, temperature: float) -> float:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,55 @@ def test_overflowing_step_is_a_numerical_failure(config_path, capsys, argv):
     assert captured.out == ""
     assert captured.err == ("error: step size too large: trace drift nan; "
                             "retry with dt <= 1.000e+299\n")
+
+
+#: devices whose rate ratios w / w_c and w / T overflow: e^-x is 0 there
+TINY_WORK_CUTOFF = {**FIG4, "baths": [*FIG4["baths"][:2], {
+    "label": "w", "temperature": 2.0, "gamma": 0.008, "cutoff": 1e-320}]}
+TINY_COLD_TEMPERATURE = {
+    "system": {"omega_a": 4.0, "omega_b": 3.0, "g": 0.02},
+    "baths": [FIG4["baths"][0], {**FIG4["baths"][1], "temperature": 1e-308},
+              FIG4["baths"][2]]}
+
+
+@pytest.mark.parametrize("document, argv, code", [
+    (TINY_WORK_CUTOFF, ["sweep", "--grid", "Tw=1:5:5"], 0),
+    (TINY_WORK_CUTOFF, ["amplifier", "--tw", "6"], 2),
+    (TINY_WORK_CUTOFF, ["phase-map", "--grid", "Tw=3:8:3",
+                        "--grid", "g=0:0.2:3"], 0),
+    (TINY_WORK_CUTOFF, ["valve", "--which", "c", "--bracket", "1:5"], 2),
+    (TINY_COLD_TEMPERATURE, ["sweep", "--grid", "Tw=1:5:5"], 0),
+    (TINY_COLD_TEMPERATURE, ["amplifier", "--tw", "6"], 0),
+    (TINY_COLD_TEMPERATURE, ["phase-map", "--grid", "Tw=3:8:3",
+                             "--grid", "g=0:0.2:3"], 0),
+    (TINY_COLD_TEMPERATURE, ["valve", "--which", "c", "--bracket", "1:5"], 2),
+], ids=["cutoff-sweep", "cutoff-amplifier", "cutoff-phase-map",
+        "cutoff-valve", "tc-sweep", "tc-amplifier", "tc-phase-map",
+        "tc-valve"])
+def test_overflowing_rate_ratio_raises_no_warning(config_path, capsys,
+                                                  document, argv, code):
+    """A work-bath cutoff of 1e-320, or T_c = 1e-308 below w_b = 3, puts
+    w / w_c or w / T past the float range, where e^-x is exactly 0: the
+    commands answer with no floating-point warning (an error under the
+    suite's filter)."""
+    assert main([*argv, "--config", config_path(document)]) == code
+    if argv[0] == "sweep" and document is TINY_WORK_CUTOFF:
+        # the work bath's spectral density is 0: no work current
+        rows = read_rows(capsys.readouterr().out)
+        assert [float(row["j_w"]) for row in rows] == [0.0] * 5
+
+
+def test_roundoff_drift_is_not_a_step_size_failure(config_path, capsys):
+    """At the default, stable step, the trace of a 1e10-long run drifts
+    past 1e-6 by roundoff alone: exit 2 naming that, with no advice to
+    take a smaller step, which would only add steps."""
+    assert main(["dynamics", "--config", config_path(FIG4),
+                 "--t-final", "1e10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: trace drift \S+ is roundoff accumulated "
+                        r"over stable steps; a smaller dt only adds steps\n",
+                        captured.err)
 
 
 def test_dynamics_positivity_column(config_path, capsys):

@@ -31,15 +31,15 @@ from trithermal.solver import (
 from trithermal.observables import (
     BLOCK_POINTS,
     CurrentReport,
-    _cop_or_none,
-    carnot_cop,
     current_table,
-    entropy_production,
     uncoupled_currents,
 )
 
 from reference import (
+    _cop_or_none,
     build_partial_secular,
+    carnot_cop,
+    entropy_production,
     exact_uncoupled_currents,
     steady_state,
     steady_state_report,

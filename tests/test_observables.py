@@ -14,16 +14,16 @@ from trithermal.rates import transition_rates
 from trithermal.observables import (
     CurrentReport,
     UndefinedObservableError,
-    carnot_cop,
     current_scale,
-    entropy_production,
     uncoupled_currents,
 )
 
 from reference import (
     build_full_secular,
     build_partial_secular,
+    carnot_cop,
     closed_form_currents,
+    entropy_production,
     heat_current_trace,
     steady_state,
     steady_state_report,

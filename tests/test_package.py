@@ -3,13 +3,16 @@ pulls in no test-only code, and the benchmark under bench/ finds what it
 uses of it."""
 
 import importlib.util
+import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+from trithermal.cli import main
 from trithermal.model import BathSpec, DeviceConfig, SystemParams
 
 from reference import exact_uncoupled_currents
@@ -28,6 +31,28 @@ def test_readme_library_example_runs():
                         flags=re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """Each `trithermal` line of the README's command block runs through
+    cli.main and exits 0: the JSON document as device.json and, as the
+    block's comment says, that document at g = 0 as device-g0.json."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    document, = re.findall(r"^```json\n(.*?)^```$", readme,
+                           flags=re.MULTILINE | re.DOTALL)
+    config = json.loads(document)
+    (tmp_path / "device.json").write_text(json.dumps(config))
+    config["system"]["g"] = 0.0
+    (tmp_path / "device-g0.json").write_text(json.dumps(config))
+    lines = [line for block in re.findall(r"^```sh\n(.*?)^```$", readme,
+                                          flags=re.MULTILINE | re.DOTALL)
+             for line in block.splitlines()
+             if line.startswith("trithermal ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_package_imports_no_test_only_module():

@@ -162,6 +162,14 @@ class TestEvolve:
             evolve(reduced(make_config()), pure(1)[0], 1e5, dt=600.0)
         assert info.value.suggested_dt == pytest.approx(60.0)
 
+    def test_roundoff_drift_suggests_no_step(self):
+        """Past ~1e11 stable default steps the trace drifts by roundoff
+        alone: no smaller step is suggested, since it would only add
+        steps."""
+        with pytest.raises(StepSizeError, match="roundoff") as info:
+            evolve(reduced(make_config()), pure(1)[0], 1e10)
+        assert info.value.suggested_dt is None
+
     def test_overflowing_step_raises(self):
         """A step whose RK4 update overflows gives a NaN trace, which is
         drift too, not a LinAlgError from the eigenvalues of NaN states."""
