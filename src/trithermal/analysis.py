@@ -3,7 +3,6 @@ amplification factor, phase maps, and the thermometer protocol."""
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -11,6 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .generator import reduced_partial_secular
 from .model import POINT_COLUMNS, ConfigError, DeviceConfig, stack_points
 from .observables import (
     CurrentReport,
@@ -18,6 +18,8 @@ from .observables import (
     current_table,
     write_grid_csv,
 )
+from .rates import SMALL_FREQUENCY_FACTOR
+from .solver import _bordered
 
 #: |J_c| below this fraction of the current scale classifies as a valve point
 VALVE_TOLERANCE = 1e-9
@@ -27,7 +29,7 @@ VALVE_TOLERANCE = 1e-9
 #: changes class
 AMPLIFIER_RESPONSE_FLOOR = 5e-8
 
-#: points of the first engine call of a root search, uniform in 1 / T_w
+#: probe points of the engine call of a root search, uniform in 1 / T_w
 #: from the low end up to the high end: over a valve bracket, and over the
 #: thermometer's range
 _BRACKET_PROBES = 9
@@ -36,16 +38,6 @@ _RANGE_PROBES = 17
 #: relative tolerance of every root search: the current changes sign
 #: within _REL_TOL * hi / 2 of the returned T_w
 _REL_TOL = 1e-10
-
-#: half-width, relative to T_w, of the flanks of each root search step:
-#: above the error of a root interpolated between two probes (2e-5 at most
-#: on the benchmark's devices, 1.2e-4 on the tests'), so that the next step
-#: interpolates over the flank, where it is exact to roundoff
-_FLANK = 1e-3
-
-#: relative distance from a certified T_w beyond which the interpolated
-#: root of its sign change is solved and returned in its place
-_POLISH_TOL = 1e-13
 
 #: top of the thermometer's range, relative to T_h
 _TW_MAX_FACTOR = 1e3
@@ -150,9 +142,10 @@ def find_current_zero(config: DeviceConfig, which: str,
     changes sign more than once, the lowest sign change the probes
     resolve is taken. It changes sign (or is exactly 0) within _REL_TOL *
     hi / 2 of the returned T_w, which is as precise as the currents. The
-    first engine call solves _BRACKET_PROBES points from lo up to hi,
-    uniform in 1 / T_w, ends included; an answer takes one call at g = 0
-    and three at g > 0 (see _sign_change).
+    candidate roots come in closed form: equilibrium_tw at g = 0, the
+    roots of _cubic_roots at g > 0. One engine call, without T_w slopes,
+    solves them with _BRACKET_PROBES points from lo up to hi, uniform in
+    1 / T_w, ends included, and certifies the answer (see _sign_change).
     """
     return _current_zero(config, which, bracket)[0]
 
@@ -161,34 +154,32 @@ def _current_zero(config: DeviceConfig, which: str,
                   bracket: tuple[float, float],
                   probe: float = 1.0) -> tuple[float, CurrentTable]:
     """find_current_zero's T_w, and the one-row current_table at T_w *
-    probe, which the search solves alongside its steps."""
+    probe, which the search's engine call solves alongside the probes."""
     if which not in ("h", "c", "w"):
         raise ConfigError(f"unknown current selector {which!r}")
     lo, hi = bracket
     if not 0 < lo < hi < math.inf:
         raise ConfigError("bracket must satisfy 0 < lo < hi < inf")
     config.with_bath_temperature("w", lo)  # the model's check of 1 / lo
-    row = stack_points([config])
-    probed = _probed(config, row, which, _probe_grid(lo, hi, _BRACKET_PROBES),
-                     probe)
-    ends = probed[0][0], probed[0][-1]
+    samples, candidates = _probed(config, which,
+                                  _probe_grid(lo, hi, _BRACKET_PROBES), probe)
+    ends = samples[0], samples[-1]
     for end in ends:
         if end.error is not None:
             raise end.error
     if 0.0 not in (ends[0].j, ends[1].j) and not _changes(*ends):
         raise BracketError(f"no working point in bracket: J_{which} does not "
                            f"change sign over [{lo}, {hi}]")
-    return _sign_change(config, row, which, probed, probe)
+    return _sign_change(config, which, samples, candidates, probe)
 
 
 class _Sample(NamedTuple):
-    """A solved T_w: the selected current and its T_w slope where the call
-    took slopes, or None where the solve failed, with its error; and the
-    table of the engine call that solved it, as its row ``row``."""
+    """A solved T_w: the selected current, or None where the solve failed,
+    with its error; and the table of the engine call that solved it, as
+    its row ``row``."""
 
     t_w: float
     j: float | None
-    slope: float | None
     error: Exception | None
     table: CurrentTable
     row: int
@@ -197,10 +188,8 @@ class _Sample(NamedTuple):
         """The sample's one-row current_table, or its error raised."""
         if self.error is not None:
             raise self.error
-        rows = slice(self.row, self.row + 1)
-        slopes = self.table.slopes
-        return CurrentTable(self.table.values[rows], [None],
-                            None if slopes is None else slopes[rows])
+        return CurrentTable(self.table.values[self.row:self.row + 1], [None],
+                            None)
 
 
 def _probe_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -210,63 +199,47 @@ def _probe_grid(lo: float, hi: float, n: int) -> list[float]:
     return grid
 
 
-def _samples(row: np.ndarray, which: str, temperatures,
-             slopes: bool) -> list[_Sample]:
-    """The stacked point ``row`` solved at each temperature, which the
-    caller has checked, in one engine call, with T_w slopes if ``slopes``."""
-    table = current_table(_points_at(row, temperatures), tw_slopes=slopes)
+def _samples(config: DeviceConfig, which: str,
+             temperatures: list[float]) -> list[_Sample]:
+    """``config`` solved at each of the temperatures, which the caller has
+    checked, in one engine call."""
+    table = current_table(_points_at(stack_points([config]), temperatures))
     # the table's first three columns are J_h, J_c and J_w
-    column = "hcw".index(which)
-    currents = table.values[:, column].tolist()
-    derivatives = (table.slopes[:, column].tolist() if slopes
-                   else [None] * len(currents))
-    return [_Sample(t_w, j if error is None else None, slope, error, table, i)
-            for i, (t_w, j, slope, error) in enumerate(zip(
-                temperatures, currents, derivatives, table.errors))]
+    currents = table.values[:, "hcw".index(which)].tolist()
+    return [_Sample(t_w, j if error is None else None, error, table, i)
+            for i, (t_w, j, error) in enumerate(zip(
+                temperatures, currents, table.errors))]
 
 
-def _step(row: np.ndarray, which: str, temperatures: list[float],
-          x: float, probe: float, slopes: bool) -> tuple[list, list]:
-    """The samples of one engine call at the temperatures, and the sample
-    at x * probe solved with them where probe != 1."""
-    extra = [x * probe] if probe != 1.0 and math.isfinite(x * probe) else []
-    solved = _samples(row, which, temperatures + extra, slopes)
-    return solved[:len(temperatures)], solved[len(temperatures):]
-
-
-def _step_points(x: float, low: float, high: float) -> list[float]:
-    """The temperatures a search step at x solves, ascending: x, x +- d
-    with d = _REL_TOL * high / 4, and x +- _FLANK * x, where inside (low,
-    high)."""
-    d = 0.25 * _REL_TOL * high
-    flank = _FLANK * x
-    return [t_w for t_w in sorted({x - flank, x - d, x, x + d, x + flank})
-            if low < t_w < high]
-
-
-def _probed(config: DeviceConfig, row: np.ndarray, which: str,
-            grid: list[float], probe: float) -> tuple[list, tuple | None]:
-    """The first engine call of a search: the samples of the ascending
-    probe ``grid`` (with T_w slopes at g > 0) and, at g = 0, where the
-    closed-form root x = equilibrium_tw lies between two probes, (x, the
-    samples of _sign_change's first step at x, solved in the same call)."""
-    steps, x = [], math.nan
-    if config.system.g == 0.0:
-        # the uncoupled device's one cycle of transitions carries no net
-        # flux at x (J. Schnakenberg, Rev. Mod. Phys. 48, 571, 1976)
+def _probed(config: DeviceConfig, which: str, grid: list[float],
+            probe: float) -> tuple[list[_Sample], list[tuple]]:
+    """The engine call of a search: the samples of the ascending probe
+    ``grid``, and per closed-form root x inside it a candidate (x, the
+    samples at x - d, x and x + d, and at x * probe where probe != 1),
+    with d = _REL_TOL * hi / 4 for the grid's top hi. At g = 0 the one
+    root is equilibrium_tw, where the uncoupled device's one cycle of
+    transitions carries no net flux (J. Schnakenberg, Rev. Mod. Phys. 48,
+    571, 1976); at g > 0 the roots are _cubic_roots'."""
+    lo, hi = grid[0], grid[-1]
+    if config.system.g != 0.0:
+        roots = _cubic_roots(config, which, lo, hi)
+    else:
         try:
-            x = equilibrium_tw(config.system.omega_a, config.system.omega_b,
-                               config.temperature("h"),
-                               config.temperature("c"))
+            roots = [equilibrium_tw(config.system.omega_a,
+                                    config.system.omega_b,
+                                    config.temperature("h"),
+                                    config.temperature("c"))]
         except MeasurementRangeError:
-            pass
-        k = bisect.bisect_right(grid, x)  # len(grid) where x is NaN
-        if 0 < k < len(grid) and grid[k - 1] < x:
-            steps = _step_points(x, grid[k - 1], grid[k])
-    solved, extra = _step(row, which, grid + steps, x,
-                          probe if steps else 1.0, config.system.g != 0.0)
-    return (solved[:len(grid)],
-            (x, solved[len(grid):], extra) if steps else None)
+            roots = []
+    d = 0.25 * _REL_TOL * hi
+    roots = [x for x in roots if lo < x - d and x + d < hi]
+    # where hi * probe overflows, _report_at solves the probe row instead
+    size = 4 if probe != 1.0 and math.isfinite(hi * probe) else 3
+    solved = _samples(config, which, grid + [
+        t_w for x in roots for t_w in (x - d, x, x + d, x * probe)[:size]])
+    rest = solved[len(grid):]
+    return solved[:len(grid)], [(x, *rest[size * k:size * (k + 1)])
+                                for k, x in enumerate(roots)]
 
 
 def _changes(low: _Sample, high: _Sample) -> bool:
@@ -276,135 +249,159 @@ def _changes(low: _Sample, high: _Sample) -> bool:
                               != math.copysign(1.0, high.j))
 
 
-def _zero_between(low: _Sample, high: _Sample) -> float:
-    """T_w of the zero of the interpolant of J in u = 1 / T_w between two
-    samples over which J changes sign: cubic Hermite on their T_w slopes,
-    or the line where they have none; NaN where a sample failed. Newton's
-    steps on the cubic in t = (u - u_low) / (u_high - u_low), from the
-    line's zero, find its zero to roundoff; _sign_change checks that it
-    lies between the samples."""
-    if low.j is None or high.j is None:
-        return math.nan
-    u_low = 1.0 / low.t_w
-    h = 1.0 / high.t_w - u_low
-    secant = high.j - low.j
-    # dJ/dt = h dJ/du = -h T_w^2 dJ/dT_w; a product overflows to inf
-    # where ** would raise
-    m_low, m_high = ((secant, secant) if low.slope is None else
-                     (-h * low.t_w * low.t_w * low.slope,
-                      -h * high.t_w * high.t_w * high.slope))
-    c2 = 3.0 * secant - 2.0 * m_low - m_high
-    c3 = m_low + m_high - 2.0 * secant
-    t = low.j / (low.j - high.j)
-    for _ in range(8):
-        slope = m_low + t * (2.0 * c2 + 3.0 * t * c3)
-        if not slope:
-            return math.nan
-        t -= (low.j + t * (m_low + t * (c2 + t * c3))) / slope
-    return 1.0 / (u_low + t * h)
-
-
-def _sign_change(config: DeviceConfig, row: np.ndarray, which: str,
-                 probed: tuple, probe: float = 1.0
+def _sign_change(config: DeviceConfig, which: str, samples: list[_Sample],
+                 candidates: list[tuple], probe: float = 1.0
                  ) -> tuple[float, CurrentTable] | None:
     """(T_w, one-row current_table at T_w * probe) at the first sign change
-    of J_which going up the probe samples of ``probed`` (see _probed), or
-    None if J keeps its sign. The walk up the samples raises the first
-    failure it meets before a sign change; a failed sample right after a
-    good one bounds the search instead, and raises only if the sign
-    change is not below it.
+    of J_which going up the probe ``samples``, or None if J keeps its sign.
+    The walk up the samples raises the first failure it meets before a
+    sign change; a failed sample right after a good one bounds the search
+    instead, and raises only if the sign change is not below it.
 
-    Each step is one engine call at a point x inside the bracket [lo, hi]
-    (_step_points, and x * probe if probe != 1), which then shrinks to the
-    pair around the sign change. x is the zero of the interpolant between
-    the bracket ends (_zero_between): cubic Hermite on the exact T_w
-    slopes, which every call takes at g > 0, linear at g = 0. The search
-    bisects in u where a step leaves the bracket, or is not below half the
-    step before last, or there is none: the safeguards of "rtsafe" (Press
-    et al., Numerical Recipes, sec. 9.4). Once J changes sign across x +-
-    d, or is 0 there, x is returned, unless the zero of the interpolant
-    over that pair lies more than _POLISH_TOL * x away: then that zero is
-    solved and returned. A bracket no wider than 2 d ends the search at
-    its end with the smaller |J|. Either way J changes sign within _REL_TOL
-    * hi / 2 of the returned T_w. d exceeds 2 ulp of hi, so x +- d differ
-    from x (the model accepts no T_w below 5e-309).
-
-    At g = 0 the first step is at the closed-form root, solved with the
-    probes, and certifies it. At g > 0 the second call solves the zero
-    over the two probes around the sign change, whose flanks x +- _FLANK
-    * x bracket the root, and the third the zero over that flank.
+    The answer is the lowest of the ``candidates`` (see _probed) inside the
+    pair of samples over which J first changes sign whose J is 0, or
+    changes sign from x - d to x + d. Where none is, the pair is bisected
+    in 1 / T_w, one engine call a step, down to a width of 2 d, and the
+    end with the smaller |J| is returned. Either way J changes sign within
+    _REL_TOL * hi / 2 of the returned T_w. d exceeds 2 ulp of hi, so x +- d
+    differ from x (the model accepts no T_w below 5e-309).
     """
-    samples, seeded = probed
     lo = None
     for hi in samples:
         if hi.j is None and lo is None:
             raise hi.error
         if hi.j == 0.0:
-            return hi.t_w, _report_at(config, hi, probe, [])
+            return hi.t_w, _report_at(config, hi, probe)
         if lo is not None and _changes(lo, hi):
             break
         lo = hi
     else:
         return None
-    slopes = config.system.g != 0.0
-    x, points, extra = (seeded if seeded and lo.t_w < seeded[0] < hi.t_w
-                        else (None, [], []))
-    step = prev = 1.0 / lo.t_w - 1.0 / hi.t_w
-    delta = 0.25 * _REL_TOL * hi.t_w
-    while True:
-        if points:
-            for point in points:
-                if point.j is None:
-                    raise point.error
-            base = next(point for point in points if point.t_w == x)
-            zero = next((point for point in points if point.j == 0.0), None)
-            if zero is not None:
-                return zero.t_w, _report_at(config, zero, probe,
-                                            extra if zero is base else [])
-            ordered = [lo, *points, hi]
-            lo, hi = next((low, high) for low, high
-                          in zip(ordered, ordered[1:]) if _changes(low, high))
-            if (hi.j is not None and x - delta <= lo.t_w
-                    and hi.t_w <= x + delta):
-                polished = _zero_between(lo, hi)
-                if not (lo.t_w <= polished <= hi.t_w
-                        and abs(polished - x) > _POLISH_TOL * x):
-                    return x, _report_at(config, base, probe, extra)
-                points, extra = _step(row, which, [polished], polished,
-                                      probe, slopes)
-                return polished, _report_at(config, points[0], probe, extra)
-            delta = 0.25 * _REL_TOL * hi.t_w
-        if hi.t_w - lo.t_w <= 2.0 * delta:
-            if hi.j is None:
-                raise hi.error
-            end = lo if abs(lo.j) <= abs(hi.j) else hi
-            return end.t_w, _report_at(config, end, probe, [])
-        t_next = _zero_between(lo, hi)
-        # rtsafe's first step runs from the middle of the bracket
-        u_last = 1.0 / x if x else 0.5 * (1.0 / lo.t_w + 1.0 / hi.t_w)
-        du = (u_last - 1.0 / t_next if lo.t_w < t_next < hi.t_w
-              else math.inf)
-        if abs(du) < 0.5 * abs(prev):
-            prev, step, x = step, du, t_next
-        else:
-            u_lo, u_hi = 1.0 / lo.t_w, 1.0 / hi.t_w
-            prev, step = step, 0.5 * (u_lo - u_hi)
-            x = 1.0 / (u_hi + step)
-            if not lo.t_w < x < hi.t_w:
-                x = lo.t_w + 0.5 * (hi.t_w - lo.t_w)
-        points, extra = _step(row, which, _step_points(x, lo.t_w, hi.t_w),
-                              x, probe, slopes)
+    for x, below, at, above, *extra in candidates:
+        if (lo.t_w < x < hi.t_w and None not in (below.j, at.j, above.j)
+                and (at.j == 0.0 or _changes(below, above))):
+            return x, _report_at(config, at, probe, *extra)
+    d = 0.25 * _REL_TOL * samples[-1].t_w
+    while hi.t_w - lo.t_w > 2.0 * d:
+        mid, = _samples(config, which, [2.0 / (1.0 / lo.t_w + 1.0 / hi.t_w)])
+        if mid.j == 0.0:
+            return mid.t_w, _report_at(config, mid, probe)
+        lo, hi = (lo, mid) if _changes(lo, mid) else (mid, hi)
+    if hi.j is None:
+        raise hi.error
+    end = lo if abs(lo.j) <= abs(hi.j) else hi
+    return end.t_w, _report_at(config, end, probe)
 
 
 def _report_at(config: DeviceConfig, sample: _Sample, probe: float,
-               extra: list[_Sample]) -> CurrentTable:
+               extra: _Sample | None = None) -> CurrentTable:
     """The one-row current_table at sample.t_w * probe: the sample's own,
-    the one solved with it in ``extra``, or one more solve."""
+    ``extra`` where it was solved at that T_w, or one more solve."""
     if probe == 1.0:
         return sample.report()
-    if extra:
-        return extra[0].report()
+    if extra is not None:
+        return extra.report()
     return _solved_at(config, sample.t_w * probe)
+
+
+#: Chebyshev points in [-1, 1], ascending, and the inverse of their
+#: Vandermonde matrix, which takes a cubic's values there to its
+#: coefficients in increasing degree
+_NODES = np.cos(np.pi * np.arange(3.5, 0.0, -1.0) / 4.0)
+_FIT = np.linalg.inv(np.vander(_NODES, increasing=True))
+
+
+def _cubic_roots(config: DeviceConfig, which: str, lo: float,
+                 hi: float) -> list[float]:
+    """The T_w in (lo, hi), ascending, at which J_which changes sign, from
+    one generator build and solve and no engine call; none where the
+    bracket reaches the rates' series branch or their 1e-3 * Omega floor.
+
+    Only the work bath depends on T_w, through its one rate pair at Omega
+    = hypot(2 g, delta): up = G n and down = up + G, with G the spectral
+    density and n = 1 / expm1(Omega / T_w). So the generator is L_* + G n M
+    (generator.reduced_work_slope), and by Cramer's rule det A and det A * v
+    of the bordered system A v = e_1 are polynomials in n of degree at
+    most 3, the rank of the bordered M; so are J_h det A and J_c det A, and
+    J_w det A = -(J_h + J_c) det A by the first law. The cubic is fitted
+    through its values at the Chebyshev points of [n(lo), n(hi)], and its
+    roots map back by T_w = Omega / log1p(1 / n), one to one between
+    those limits.
+    """
+    omega = math.hypot(2.0 * config.system.g, config.system.delta)
+    if not (1e-3 * omega <= lo and omega > SMALL_FREQUENCY_FACTOR * hi):
+        return []
+    n_lo, n_hi = (math.exp(-omega / t_w) / -math.expm1(-omega / t_w)
+                  for t_w in (lo, hi))
+    middle, half = 0.5 * (n_hi + n_lo), 0.5 * (n_hi - n_lo)
+    # a rate past the float range fails every point of the engine call
+    # that follows; here it leaves no root
+    with np.errstate(all="ignore"):
+        generators = reduced_partial_secular(_points_at(
+            stack_points([config]),
+            omega / np.log1p(1.0 / (middle + half * _NODES))))
+        bordered = _bordered(generators.matrix)
+        try:
+            inverse = np.linalg.inv(bordered)
+        except np.linalg.LinAlgError:
+            return []
+        # one step of refinement, and the traces of D_h and D_c (E_1 = 0),
+        # in extended precision, as the engine polishes and traces its
+        # states (solver.reduced_steady_states, observables._block_table)
+        dissipators = generators.dissipators.astype(np.longdouble)
+        extended = dissipators.sum(axis=1) + generators.unitary
+        extended[:, 0] = bordered[:, 0]
+        residual = extended @ inverse[:, :, :1]
+        residual[:, 0] -= 1.0
+        states = inverse[:, :, :1] - (inverse @ residual.astype(float)
+                                      ).astype(np.longdouble)
+        energies = np.array([generators.eig.omega_2,
+                             generators.eig.omega_3]).T
+        flows = ((dissipators[:, :2, 1:3] @ states[:, None])[..., 0]
+                 * energies[:, None, :]).sum(axis=2).astype(float)
+        j_h, j_c = flows.T * np.linalg.det(bordered)
+        values = {"h": j_h, "c": j_c, "w": -(j_h + j_c)}[which]
+        coefficients = (_FIT @ values).tolist()
+    roots = [omega / math.log1p(1.0 / n) for n in
+             (middle + half * t for t in _unit_roots(coefficients)) if n > 0]
+    return [t_w for t_w in roots if lo < t_w < hi]
+
+
+def _unit_roots(coefficients: list[float]) -> list[float]:
+    """The points of [-1, 1], ascending, where the cubic with the
+    ``coefficients`` (increasing degree) changes sign or is 0: the zeros
+    of its derivative split [-1, 1] into monotone pieces, and each piece
+    whose ends differ in sign is bisected down to 2^-52. None where a
+    coefficient is not finite or all are 0."""
+    if not all(map(math.isfinite, coefficients)) or not any(coefficients):
+        return []
+    scale = max(map(abs, coefficients))
+    c0, c1, c2, c3 = (c / scale for c in coefficients)
+
+    def cubic(t: float) -> float:
+        return c0 + t * (c1 + t * (c2 + t * c3))
+    # the zeros of c1 + b t + a t^2 by the formula that does not cancel
+    a, b = 3.0 * c3, 2.0 * c2
+    critical = [-c1 / b] if a == 0.0 and b != 0.0 else []
+    discriminant = b * b - 4.0 * a * c1
+    if a != 0.0 and discriminant >= 0.0:
+        q = -0.5 * (b + math.copysign(math.sqrt(discriminant), b))
+        critical = [q / a] + ([c1 / q] if q != 0.0 else [])
+    ends = [-1.0, *sorted(t for t in critical if -1.0 < t < 1.0), 1.0]
+    roots = [-1.0] if cubic(-1.0) == 0.0 else []
+    for low, high in zip(ends, ends[1:]):
+        f_low, f_high = cubic(low), cubic(high)
+        if f_high != 0.0 and (f_low == 0.0 or (f_low > 0.0) == (f_high > 0.0)):
+            continue
+        while f_high != 0.0 and high - low > 2.0 ** -52:
+            middle = 0.5 * (low + high)
+            f_middle = cubic(middle)
+            if f_middle == 0.0 or (f_middle > 0.0) != (f_low > 0.0):
+                high, f_high = middle, f_middle
+            else:
+                low = middle
+        roots.append(high if f_high == 0.0 else 0.5 * (low + high))
+    return roots
 
 
 def equilibrium_tw(omega_a: float, omega_b: float, t_h: float,
@@ -448,15 +445,14 @@ def measure_temperature(config: DeviceConfig) -> ThermometerReading:
     """Simulated thermometer protocol for the uncoupled device.
 
     The control temperature rises from T_h to _TW_MAX_FACTOR * T_h until
-    the conductor current J_h changes sign. The first engine call solves
-    _RANGE_PROBES points of that range, uniform in 1 / T_w, with the first
-    step at the closed-form root equilibrium_tw, which usually certifies
-    the reading in that one call; the zero at the first sign change going
-    up is found as in find_current_zero, with _TW_MAX_FACTOR * T_h as hi,
-    and no call takes T_w slopes. A failed solve below that sign change
-    raises, and so does a reading outside (xi * T_h, T_h]. The config's
-    cold-bath temperature plays the hidden sample temperature; the reading
-    must reproduce it.
+    the conductor current J_h changes sign. One engine call solves
+    _RANGE_PROBES points of that range, uniform in 1 / T_w, with the
+    closed-form root equilibrium_tw and the points that certify it; the
+    zero at the first sign change going up is found as in
+    find_current_zero, with _TW_MAX_FACTOR * T_h as hi. A failed solve
+    below that sign change raises, and so does a reading outside (xi *
+    T_h, T_h]. The config's cold-bath temperature plays the hidden sample
+    temperature; the reading must reproduce it.
     """
     if config.system.g != 0.0:
         raise ConfigError("the thermometer protocol requires g=0")
@@ -464,9 +460,8 @@ def measure_temperature(config: DeviceConfig) -> ThermometerReading:
     xi = config.system.omega_b / config.system.omega_a
     t_w_max = _TW_MAX_FACTOR * t_h
     config.with_bath_temperature("w", t_w_max)  # the model's check
-    row = stack_points([config])
-    found = _sign_change(config, row, "h", _probed(
-        config, row, "h", _probe_grid(t_h, t_w_max, _RANGE_PROBES), 1.0))
+    found = _sign_change(config, "h", *_probed(
+        config, "h", _probe_grid(t_h, t_w_max, _RANGE_PROBES), 1.0))
     if found is None:
         raise MeasurementRangeError(
             "sample below measurable range: J_h kept its sign up to "

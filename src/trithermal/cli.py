@@ -215,7 +215,7 @@ def cmd_refrigerator(args) -> int:
     config = load_config(args.config)
     bracket = parse_bracket(args.bracket)
     # COP at the onset is a 0/0 limit; probe just inside the cooling
-    # window, at a point the search solves with its last step
+    # window, at a point the search solves in its engine call
     onset, row = _current_zero(config, "c", bracket,
                                probe=_REFRIGERATOR_PROBE)
     probe = onset * _REFRIGERATOR_PROBE

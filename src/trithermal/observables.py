@@ -199,9 +199,12 @@ def current_table(points: np.ndarray, tw_slopes: bool = False) -> CurrentTable:
                          np.empty((n, 3)) if tw_slopes else None)
     for start in range(0, n, BLOCK_POINTS):
         block = slice(start, start + BLOCK_POINTS)
-        table.errors.extend(_block_table(
-            points[block], table.values[block],
-            None if table.slopes is None else table.slopes[block]))
+        # a rate past the float range fails its point with a non-finite
+        # generator (SteadyStateError), with no warning on the way there
+        with np.errstate(over="ignore", invalid="ignore"):
+            table.errors.extend(_block_table(
+                points[block], table.values[block],
+                None if table.slopes is None else table.slopes[block]))
     return table
 
 

@@ -170,38 +170,77 @@ def test_roots_agree_with_brentq(config, which):
     assert abs(root - expected) <= 1e-10 * hi
 
 
-@pytest.mark.parametrize("tolerance", [1e-10])
-@pytest.mark.parametrize("bad", ["nan", "zero", "wrong-way"])
-def test_search_without_usable_steps(monkeypatch, engine_calls, tolerance,
-                                     bad):
-    """With every interpolated step (the cubic Hermite root on the exact
-    T_w slopes) and the polish NaN, of length 0 or in the wrong direction,
-    the search bisects in u = 1 / T_w. It still returns a root certified
-    to the search's relative tolerance ``tolerance``, within one call for
-    the probe grid, one per halving of the grid's spacing down to a
-    bracket of 2 d, and one for the polish."""
-    interpolated = analysis._zero_between
-
-    def step(low, high):
-        pivot = min((low, high), key=lambda sample: abs(sample.j)).t_w
-        return {"nan": math.nan, "zero": pivot,
-                "wrong-way": 2.0 * pivot - interpolated(low, high)}[bad]
-    monkeypatch.setattr(analysis, "_zero_between", step)
+@pytest.mark.parametrize("bad", ["nan", "outside", "off"])
+def test_search_falls_back_to_bisection(monkeypatch, engine_calls, bad):
+    """With the cubic's root NaN, in a lower probe pair than the sign
+    change, or 1e-6 (relative) off, no candidate is certified and the
+    search bisects the probe pair around the sign change in u = 1 / T_w.
+    It still returns a root certified to _REL_TOL * hi / 2, within 1e-10
+    (relative) of the certified cubic root, in one call for the probe grid
+    and one per halving of the grid's spacing down to a pair of width 2 d."""
     config = make_config()
     lo, hi = 1.0, 5.0
+    expected = find_current_zero(config, "c", (lo, hi))
+    engine_calls.clear()
+    cubic_roots = analysis._cubic_roots
+
+    def moved(*args):
+        x, = cubic_roots(*args)
+        return [{"nan": math.nan, "outside": 0.9 * x,
+                 "off": x * (1.0 + 1e-6)}[bad]]
+    monkeypatch.setattr(analysis, "_cubic_roots", moved)
     root = find_current_zero(config, "c", (lo, hi))
     spacing = (1.0 / lo - 1.0 / hi) / (analysis._BRACKET_PROBES - 1)
-    d = 0.25 * tolerance * root
-    assert len(engine_calls) <= 2 + math.ceil(
+    d = 0.25 * analysis._REL_TOL * hi
+    assert 1 < len(engine_calls) <= 1 + math.ceil(
         math.log2(spacing * hi ** 2 / (2.0 * d)))
-    monkeypatch.undo()
-    assert root == pytest.approx(find_current_zero(config, "c", (lo, hi)),
-                                 rel=1e-10)
-    radius = tolerance * hi / 2 * (1 + 1e-6)
+    assert root == pytest.approx(expected, rel=1e-10, abs=0)
+    radius = analysis._REL_TOL * hi / 2 * (1 + 1e-6)
     below, at, above = (currents_at(config, t_w).j_c
                         for t_w in (root - radius, root, root + radius))
     assert at == 0.0 or math.copysign(1.0, below) != math.copysign(1.0,
                                                                   above)
+
+
+@settings(max_examples=40, deadline=None)
+@given(operating_devices(st.floats(0.0, 0.05, exclude_min=True)),
+       st.sampled_from("hcw"))
+def test_cubic_roots_are_certified_sign_changes(config, which):
+    """Every root the cubic in the work bath's occupation reports over the
+    bracket of test_root_contract is a sign change of the engine's J_which:
+    J changes sign from x - d to x + d, d = _REL_TOL * hi / 4, or is 0."""
+    expected = equilibrium_tw(1.0, config.system.omega_b, 1.0,
+                              config.temperature("c"))
+    lo, hi = 0.5 * expected, 3.0 * expected
+    d = 0.25 * analysis._REL_TOL * hi
+    roots = analysis._cubic_roots(config, which, lo, hi)
+    assert roots == sorted(roots)
+    for x in roots:
+        below, at, above = (getattr(currents_at(config, t_w), f"j_{which}")
+                            for t_w in (x - d, x, x + d))
+        assert at == 0.0 or math.copysign(1.0, below) != math.copysign(
+            1.0, above)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-0.99, 0.99), min_size=3, max_size=3,
+                unique=True).map(sorted),
+       st.floats(0.1, 10.0) | st.floats(-10.0, -0.1))
+def test_unit_roots_of_cubics_with_three_roots(roots, lead):
+    """A cubic with three simple roots inside (-1, 1), 1e-3 apart at least,
+    has each found to within the roundoff of its coefficients: 1e-14 of
+    their sum of moduli over the slope at the root."""
+    assume(min(b - a for a, b in zip(roots, roots[1:])) > 1e-3)
+    r1, r2, r3 = roots
+    coefficients = [-lead * r1 * r2 * r3, lead * (r1 * r2 + r1 * r3 + r2 * r3),
+                    -lead * (r1 + r2 + r3), lead]
+    found = analysis._unit_roots(coefficients)
+    assert len(found) == 3
+    for x, root in zip(found, roots):
+        slope = lead * math.prod(root - other for other in roots
+                                 if other != root)
+        assert abs(x - root) <= 1e-14 * sum(map(abs, coefficients)) / abs(
+            slope)
 
 
 @pytest.fixture
@@ -219,24 +258,20 @@ def engine_calls(monkeypatch):
 
 
 def test_root_engine_calls(engine_calls):
-    """The FIG4 device (g = 0.02): the probe grid, bracket ends included,
-    the Hermite root over the probes around the sign change, and the
-    interpolated root over its flank, which x +- d certify."""
+    """The FIG4 device (g = 0.02): one engine call, which solves the probe
+    grid, bracket ends included, and the cubic's root x with x +- d, which
+    certify it."""
     find_current_zero(make_config(), "c", (1.0, 5.0))
-    assert engine_calls[0] == analysis._BRACKET_PROBES
-    assert len(engine_calls) <= 3
+    assert engine_calls == [analysis._BRACKET_PROBES + 3]
 
 
 @pytest.mark.parametrize("which", ["c", "h"])
 def test_root_engine_calls_at_g0(engine_calls, which):
-    """The first call solves the probe grid and the first step at the
-    closed-form root x = equilibrium_tw (x, x +- d and x +- _FLANK x),
-    which certifies it; a polish takes a second call at most."""
+    """One engine call solves the probe grid and the closed-form root x =
+    equilibrium_tw with x +- d, which certify it; x is the answer."""
     t_w = find_current_zero(make_config(g=0.0), which, (1.0, 5.0))
-    assert engine_calls[0] == analysis._BRACKET_PROBES + 5
-    assert len(engine_calls) <= 2
-    assert t_w == pytest.approx(equilibrium_tw(1.0, 0.8, 1.0, 0.85),
-                                rel=1e-13)
+    assert engine_calls == [analysis._BRACKET_PROBES + 3]
+    assert t_w == equilibrium_tw(1.0, 0.8, 1.0, 0.85)
 
 
 def config_file(config, path):
@@ -252,8 +287,8 @@ def config_file(config, path):
 
 def test_valve_reuses_the_report_at_its_root(engine_calls, tmp_path,
                                              capsys):
-    """The valve's CSV row is the report the root search solved last, not
-    one more solve."""
+    """The valve's CSV row is the report the root search's engine call
+    solved, not one more solve."""
     from trithermal.cli import main
 
     config = make_config()
@@ -271,14 +306,14 @@ def test_valve_reuses_the_report_at_its_root(engine_calls, tmp_path,
 def test_refrigerator_reuses_the_report_at_its_probe(engine_calls,
                                                      tmp_path, capsys):
     """The refrigerator's CSV row, at the onset times 1 + 1e-6, is solved
-    with the search's last step; the whole answer takes at most 3 calls."""
+    in the search's one engine call, which is the whole answer's."""
     from trithermal.cli import main
 
     config = make_config()
     path = config_file(config, tmp_path / "config.json")
     assert main(["refrigerator", "--config", str(path),
                  "--bracket", "1:5"]) == 0
-    assert len(engine_calls) <= 3
+    assert engine_calls == [analysis._BRACKET_PROBES + 4]
     onset = find_current_zero(config, "c", (1.0, 5.0))
     probe = onset * (1.0 + 1e-6)
     row = capsys.readouterr().out.split("\n")[1].split(",")
@@ -288,28 +323,26 @@ def test_refrigerator_reuses_the_report_at_its_probe(engine_calls,
 
 def test_thermometer_engine_calls(engine_calls):
     measure_temperature(thermometer_config(0.7))
-    # the range's probes and the first step at the closed-form root
-    assert engine_calls[0] == analysis._RANGE_PROBES + 5
-    assert len(engine_calls) <= 2
+    # the range's probes and the closed-form root with its certificate
+    assert engine_calls == [analysis._RANGE_PROBES + 3]
 
 
 def test_only_the_amplifier_takes_derivatives(monkeypatch):
-    """Grids, root searches at g = 0 and the thermometer do no derivative
-    work; the amplifier, and root searches at g > 0, do."""
+    """Grids, root searches at every g and the thermometer do no
+    derivative work; the amplifier does."""
     def forbidden(*args):
         raise AssertionError("T_w derivatives taken")
     monkeypatch.setattr(observables, "_tw_slopes", forbidden)
     config = make_config()
     current_table(stack_points([config, config])).reports()
-    for which in ("c", "h"):
-        find_current_zero(config.with_coupling(0.0), which, (1.0, 5.0))
-    analysis._current_zero(config.with_coupling(0.0), "c", (1.0, 5.0),
-                           probe=1.0 + 1e-6)
+    for g in (0.0, 0.02):
+        for which in ("c", "h"):
+            find_current_zero(config.with_coupling(g), which, (1.0, 5.0))
+        analysis._current_zero(config.with_coupling(g), "c", (1.0, 5.0),
+                               probe=1.0 + 1e-6)
     measure_temperature(thermometer_config(0.7))
     with pytest.raises(AssertionError, match="derivatives taken"):
         amplification_factor(config, 6.0)
-    with pytest.raises(AssertionError, match="derivatives taken"):
-        find_current_zero(config, "c", (1.0, 5.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,8 +351,8 @@ def test_only_the_amplifier_takes_derivatives(monkeypatch):
        st.sampled_from([("c", 1.0), ("h", 1.0), ("c", 1.0 + 1e-6)]))
 def test_engine_call_budget(config, search):
     """Over the bracket of test_root_contract, a valve search (J_c or J_h)
-    or a refrigerator's (J_c, with its probe row) takes at most 2 engine
-    calls at g = 0, the first without T_w slopes, and at most 3 at g > 0."""
+    or a refrigerator's (J_c, with its probe row) takes exactly 1 engine
+    call, without T_w slopes, at every g."""
     which, probe = search
     calls = []
 
@@ -336,10 +369,7 @@ def test_engine_call_budget(config, search):
             if config.system.g == 0.0:
                 raise
             reject()
-    if config.system.g == 0.0:
-        assert len(calls) <= 2 and not calls[0]
-    else:
-        assert len(calls) <= 3
+    assert calls == [False]
 
 
 def reference_walk(config, t_w_max):

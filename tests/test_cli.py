@@ -404,6 +404,35 @@ def test_overflowing_rate_ratio_raises_no_warning(config_path, capsys,
         assert [float(row["j_w"]) for row in rows] == [0.0] * 5
 
 
+NON_FINITE = ("error: steady-state solve failed: generator has non-finite "
+              "entries\n")
+
+
+@pytest.mark.parametrize("bath", [0, 1, 2], ids=["h", "c", "w"])
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--grid", "Tw=1:5:3"], "sweep: 3 point(s), 3 failure(s)\n"),
+    (["valve", "--which", "c", "--bracket", "1:5"], NON_FINITE),
+    (["valve", "--which", "h", "--bracket", "1:5"], NON_FINITE),
+    (["refrigerator", "--bracket", "1:5"], NON_FINITE),
+    (["amplifier", "--tw", "2"], NON_FINITE),
+    (["phase-map", "--grid", "Tw=1:5:3", "--grid", "g=0:0.1:3"],
+     "phase-map: 9 point(s), 9 failure(s)\n"),
+], ids=["sweep", "valve-c", "valve-h", "refrigerator", "amplifier",
+        "phase-map"])
+def test_overflowing_rates_raise_no_warning(config_path, capsys, bath, argv,
+                                            message):
+    """A gamma of 1e308 on any one bath overflows its rates, and the
+    engine fails every point with a non-finite generator: exit 2 with that
+    error, and no floating-point warning (an error under the suite's
+    filter) on the way, from the rates, the generator, the traces, the T_w
+    slopes or the root search's cubic."""
+    document = json.loads(json.dumps(FIG4))
+    document["baths"][bath]["gamma"] = 1e308
+    assert main([*argv, "--config", config_path(document),
+                 "--out", os.devnull]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_roundoff_drift_is_not_a_step_size_failure(config_path, capsys):
     """At the default, stable step, the trace of a 1e10-long run drifts
     past 1e-6 by roundoff alone: exit 2 naming that, with no advice to
@@ -508,13 +537,14 @@ def test_every_package_error_has_an_exit_code():
 
 #: (file under tests/data, argv after --config, exit code) of the FIG4
 #: device, or of the config GOLDEN_CONFIGS names for the file. The grid
-#: files and valve_h.csv hold the CSV each command wrote before grid output
-#: came from the engine's columnar table. valve_c.csv and refrigerator.csv
-#: hold the roots of the search that replaced Brent's method, one ulp from
-#: Brent's (test_root_goldens_stay_at_the_recorded_roots). The dynamics
-#: files hold the trajectories of the RK4 on the reduced closed block,
-#: which replaced a 9x9 RK4 and sit no farther from the exact RK4 sequence
-#: than its files did (test_dynamics_golden_matches_extended_rk4).
+#: files hold the CSV each command wrote before grid output came from the
+#: engine's columnar table. valve_c.csv, valve_h.csv and refrigerator.csv
+#: hold the roots of the cubic in the work bath's occupation, a few ulp
+#: from the recorded ones (test_root_goldens_stay_at_the_recorded_roots).
+#: The dynamics files hold the trajectories of the RK4 on the reduced
+#: closed block, which replaced a 9x9 RK4 and sit no farther from the
+#: exact RK4 sequence than its files did
+#: (test_dynamics_golden_matches_extended_rk4).
 #: thermometer.csv holds the reading of the THERMOMETER device as
 #: csv.writer wrote it. None may change a byte
 GOLDEN = [
@@ -570,23 +600,27 @@ def test_signed_zero_golden_keeps_both_zeros():
             == ["0"] * 3 + [""] * 3 + ["-0"] * 3)
 
 
-#: T_w of the root files as Brent's method recorded them; the root search
-#: that replaced it moved both by one ulp
+#: T_w of the root files as Brent's method (valve_c.csv, refrigerator.csv)
+#: and the first engine-based search (valve_h.csv) recorded them; the
+#: searches that replaced them moved each by a few ulp
 RECORDED_ROOTS = {"valve_c.csv": 3.5239507299155011,
+                  "valve_h.csv": 3.4239624126957517,
                   "refrigerator.csv": 3.5239542538662305}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_ROOTS))
 def test_root_goldens_stay_at_the_recorded_roots(config_path, name):
     """Each re-recorded root file holds a T_w within 1e-12 relative of the
-    recorded one, and J_c changes sign within 1e-10 * hi / 2 of the root
-    (for the refrigerator, of the onset its row is 1 + 1e-6 above)."""
+    recorded one, and its current (J_h for valve_h.csv, else J_c) changes
+    sign within 1e-10 * hi / 2 of the root (for the refrigerator, of the
+    onset its row is 1 + 1e-6 above)."""
     t_w = float(read_rows((DATA / name).read_text())[0]["Tw"])
     assert t_w == pytest.approx(RECORDED_ROOTS[name], rel=1e-12, abs=0)
-    root = t_w if name == "valve_c.csv" else t_w / (1.0 + 1e-6)
+    root = t_w / (1.0 + 1e-6) if name == "refrigerator.csv" else t_w
+    field = "j_h" if name == "valve_h.csv" else "j_c"
     config = load_config(config_path(FIG4))
     radius = 1e-10 * 5.0 / 2
-    below, above = (currents_at(config, t).j_c
+    below, above = (getattr(currents_at(config, t), field)
                     for t in (root - radius, root + radius))
     assert math.copysign(1.0, below) != math.copysign(1.0, above)
 
