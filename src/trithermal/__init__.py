@@ -17,11 +17,9 @@ from .model import (
 from .rates import RatePair, transition_rates
 from .generator import reduced_partial_secular
 from .solver import (
-    StepSizeError,
     SteadyStateError,
     Trajectory,
     analytic_diagonal_steady_state,
-    default_timestep,
     evolve,
     trajectory_csv,
 )

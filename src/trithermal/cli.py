@@ -23,7 +23,7 @@ import numpy as np
 from .model import BathSpec, ConfigError, DeviceConfig, SystemParams, point_column, stack_points
 from .generator import reduced_partial_secular
 from .rates import FrequencyDomainError
-from .solver import SteadyStateError, StepSizeError, evolve, trajectory_csv
+from .solver import SteadyStateError, evolve, trajectory_csv
 from .observables import CurrentTable, UndefinedObservableError, current_table, write_grid_csv
 from .analysis import (
     AmplifierUndefinedError,
@@ -37,9 +37,9 @@ from .analysis import (
     _current_zero,
 )
 
-_NUMERICAL_ERRORS = (SteadyStateError, StepSizeError, BracketError,
-                     MeasurementRangeError, AmplifierUndefinedError,
-                     UndefinedObservableError, FrequencyDomainError)
+_NUMERICAL_ERRORS = (SteadyStateError, BracketError, MeasurementRangeError,
+                     AmplifierUndefinedError, UndefinedObservableError,
+                     FrequencyDomainError)
 
 
 #: the refrigerator's CSV row sits at the cooling-window onset times this
@@ -259,9 +259,12 @@ def cmd_dynamics(args) -> int:
             raise ConfigError(f"{flag} must be finite")
     if not args.t_final > 0:
         raise ConfigError("--t-final must be positive")
-    trajectory = evolve(reduced_partial_secular(stack_points([config])),
-                        np.eye(5)[args.initial - 1], args.t_final,
-                        dt=args.dt, sample_stride=args.stride)
+    # a rate past the float range gives a non-finite generator, which
+    # evolve refuses, with no warning on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        generators = reduced_partial_secular(stack_points([config]))
+    trajectory = evolve(generators, np.eye(5)[args.initial - 1],
+                        args.t_final, dt=args.dt)
     _emit(trajectory_csv(trajectory), args.out)
     _summary(f"dynamics: {len(trajectory.times)} samples to t = "
              f"{trajectory.times[-1]:g}, min eigenvalue "
@@ -325,9 +328,9 @@ def build_parser() -> _Parser:
                        help="time evolution from a pure initial state")
     p.add_argument("--initial", type=int, choices=(1, 2, 3), default=2)
     p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--stride", type=int, default=None,
-                   help="steps between stored samples (default: ~1000 samples)")
+    p.add_argument("--dt", type=float, default=None,
+                   help="time between samples (default: 1000 samples, "
+                        "the last at --t-final)")
     p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("phase-map", parents=[common],

@@ -218,7 +218,8 @@ def reduced_partial_secular(points: np.ndarray) -> ReducedGenerators:
     """Partial-secular generator, in the eigenbasis, of every row of
     stacked device points, on the closed block: the first stage of the
     package's steady-state path, before solver.reduced_steady_states and
-    observables.current_table, and the generator solver.evolve integrates.
+    observables.current_table, and the generator whose exact propagator
+    solver.evolve applies.
     The interference (cross) terms between the two ground-excited channels
     are kept; they sustain the coherence between the excited levels.
 

@@ -25,16 +25,8 @@ MAX_SAMPLES = 10 ** 6
 
 
 class SteadyStateError(RuntimeError):
-    """The generator does not have a unique, solvable steady state."""
-
-
-class StepSizeError(RuntimeError):
-    """Trace drift beyond tolerance; suggested_dt is None where it is
-    roundoff, which a smaller step does not reduce."""
-
-    def __init__(self, message, suggested_dt):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt
+    """The generator does not have a unique, solvable steady state, has
+    non-finite entries, or has a mode that grows."""
 
 
 #: the trace constraint that replaces the p1 row of a reduced generator,
@@ -215,17 +207,6 @@ def reduced_steady_states(
     return v[:, :, 0], v_ext[:, :, 0], inverse, dissipators
 
 
-def default_timestep(generators: ReducedGenerators) -> float:
-    """Fixed step keeping RK4 stable: 0.01 over the fastest scale of the
-    one point's generator, the largest modulus on the diagonal of its 9x9
-    form. In the real form that diagonal is R[0, 0], R[1, 1], R[2, 2],
-    R[3, 3] + i R[4, 3] at rho_23 and rho_32, and ``decay``."""
-    L = generators.matrix[0]
-    scale = max(np.abs(np.diagonal(L)[:3]).max(), np.hypot(L[3, 3], L[4, 3]),
-                np.abs(generators.decay[0]).max())
-    return 0.01 / max(float(scale), 1e-12)
-
-
 def _density_matrices(states: np.ndarray) -> np.ndarray:
     """Eigenbasis density matrices, (n, 3, 3), of closed-block states
     (p1, p2, p3, u, w), (n, 5); rho_12 and rho_13 are 0."""
@@ -246,8 +227,6 @@ class Trajectory:
     times: np.ndarray            # (n,)
     states: np.ndarray           # (n, 5)
     min_eigenvalues: np.ndarray  # (n,)
-    dt: float
-    sample_stride: int
 
     def matrices(self) -> np.ndarray:
         return _density_matrices(self.states)
@@ -256,80 +235,95 @@ class Trajectory:
         return self.states[:, :3].sum(axis=1)
 
 
+#: samples after t = 0 of a trajectory whose spacing is not given
+_DEFAULT_SAMPLES = 1000
+#: Taylor degree of the propagator; its remainder at ||X||_1 < 1/2 is ~3e-23
+_TAYLOR_DEGREE = 18
+
+
+def _propagator(L: np.ndarray, dt: float) -> np.ndarray:
+    """exp(L dt) - I of a finite reduced generator L, by scaling and
+    squaring (C. Moler and C. Van Loan, SIAM Rev. 45, 3, 2003): the Taylor
+    sum at X = 2^-s L dt, then s squarings (I + Q)^2 - I = 2 Q + Q^2. s
+    comes from the binary exponents of max |L| and dt, so that ||X||_1 <=
+    5 max |L| dt / 2^s < 1/2; L is scaled before the product with dt, which
+    keeps X finite at any dt. Kept apart from I, the roundoff is relative
+    to the change over dt, not to 1. After each squaring, row 0 is restored
+    from the trace constraint (the population rows sum to 0), as the
+    bordered steady-state solve imposes it."""
+    s = max(0, math.frexp(np.abs(L).max())[1] + math.frexp(dt)[1] + 4)
+    X = np.ldexp(L, -s) * dt
+    change = X
+    for order in range(_TAYLOR_DEGREE, 1, -1):
+        change = X + (X / order) @ change
+    for _ in range(s):
+        change = 2.0 * change + change @ change
+        change[0] = -change[1] - change[2]
+    return change
+
+
 def evolve(generators: ReducedGenerators, state0, t_final: float,
-           dt: float | None = None,
-           sample_stride: int | None = None) -> Trajectory:
-    """Fixed-step RK4 integration of the partial-secular master equation of
-    one device point, on its closed block.
+           dt: float | None = None) -> Trajectory:
+    """Time evolution of one device point under its partial-secular master
+    equation, on the closed block, sampled every dt.
 
     state0 is the closed-block state (p1, p2, p3, u, w), rho_23 = u + i w,
-    that the integration starts from; np.eye(5)[level - 1] is a pure
+    that the evolution starts from; np.eye(5)[level - 1] is a pure
     level. The eigenbasis coherences rho_12 and rho_13 only decay, so a
     state that starts without them, as every pure level does, is carried
-    whole by the closed block. The one-step RK4 update of a linear,
-    time-independent system is itself a fixed matrix, so strides of it are
-    applied between stored samples, by default about 1000 of them; a
-    positive t_final takes at least one. The trace is monitored, never
-    renormalized; drift beyond 1e-6 raises StepSizeError, which suggests
-    dt / 10 where the step is unstable and no step where it is stable.
-    More than MAX_SAMPLES samples are refused before anything is allocated.
+    whole by the closed block. The generator is linear and does not depend
+    on time, so each sample is the last one times the exact propagator
+    exp(L dt), built once (_propagator): roundoff grows with the number of
+    samples, not with t_final. Without dt there are 1000 samples after
+    t = 0, the last at t_final; with it, the last sample is the first at
+    or past t_final. More than MAX_SAMPLES samples are refused before
+    anything is allocated. A generator with non-finite entries, or a
+    trajectory that overflows, raises SteadyStateError.
     """
     if len(generators.matrix) != 1:
-        raise ConfigError("evolve integrates the generator of one point")
+        raise ConfigError("evolve takes the generator of one point")
     v = np.asarray(state0, dtype=float)
     if v.shape != (5,):
         raise ConfigError("initial state must be the closed-block 5-vector "
                           "(p1, p2, p3, u, w)")
+    if not 0 < t_final < math.inf:
+        raise ConfigError("t_final must be positive and finite")
     if dt is None:
-        dt = default_timestep(generators)
-    if not dt > 0:
-        raise ConfigError("dt must be positive")
-    steps = t_final / dt
-    if not math.isfinite(steps):
-        raise ConfigError("t_final / dt must be a finite number of steps")
-    if sample_stride is None:
-        sample_stride = max(1, int(steps / 1000))
-    if sample_stride < 1:
-        raise ConfigError("sample_stride must be >= 1")
-    # one stride at least for a positive t_final, also where dt *
-    # sample_stride overflows to inf
-    n_samples = max(math.ceil(t_final / (dt * sample_stride)),
-                    int(t_final > 0))
-    if n_samples > MAX_SAMPLES:
-        raise ConfigError(f"{n_samples} samples exceed the limit of "
-                          f"{MAX_SAMPLES}; raise dt or the sample stride")
+        dt = t_final / _DEFAULT_SAMPLES
+        times = np.linspace(0.0, t_final, _DEFAULT_SAMPLES + 1)
+    else:
+        if not dt > 0:
+            raise ConfigError("dt must be positive")
+        steps = t_final / dt
+        if not math.isfinite(steps):
+            raise ConfigError("t_final / dt must be a finite number of steps")
+        # one sample at least, also where t_final / dt rounds to 0
+        n_samples = max(math.ceil(steps), 1)
+        if n_samples > MAX_SAMPLES:
+            raise ConfigError(f"{n_samples} samples exceed the limit of "
+                              f"{MAX_SAMPLES}; raise dt")
+        times = np.arange(n_samples + 1) * dt
     if generators.out_of_domain[0]:
         raise FrequencyDomainError("transition frequency must be non-negative")
+    L = generators.matrix[0]
+    if not np.isfinite(L).all():
+        raise SteadyStateError("generator has non-finite entries")
 
-    states = [v]
-    # an overflowing step gives NaN states, which the drift check refuses
+    states = np.empty((len(times), 5))
+    states[0] = v
+    # a generator beyond double precision, its rates many decades apart,
+    # may have a growing mode at roundoff level that overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        hL = dt * generators.matrix[0]
-        step = np.eye(5)
-        for order in (4, 3, 2, 1):
-            step = np.eye(5) + (hL / order) @ step
-        stride_step = np.linalg.matrix_power(step, sample_stride)
-        for _ in range(n_samples):
-            v = stride_step @ v
-            drift = abs(v[0] + v[1] + v[2] - 1.0)
-            if not drift <= 1e-6:
-                # unstable: the step overflowed (NaN drift) or its spectral
-                # radius tops 1, that of the stationary mode, to roundoff
-                if not (np.isfinite(step).all() and np.abs(
-                        np.linalg.eigvals(step)).max() <= 1.0 + 1e-12):
-                    raise StepSizeError(
-                        f"step size too large: trace drift {drift:.3e}; "
-                        f"retry with dt <= {dt / 10:.3e}", dt / 10)
-                raise StepSizeError(
-                    f"trace drift {drift:.3e} is roundoff accumulated over "
-                    f"stable steps; a smaller dt only adds steps", None)
-            states.append(v)
-    states = np.array(states)
+        change = _propagator(L, dt)
+        for k in range(1, len(times)):
+            states[k] = states[k - 1] + change @ states[k - 1]
+    if not np.isfinite(states).all():
+        raise SteadyStateError("trajectory overflows: the generator has a "
+                               "growing mode at roundoff level")
     return Trajectory(
-        times=np.arange(len(states)) * dt * sample_stride, states=states,
+        times=times, states=states,
         min_eigenvalues=np.linalg.eigvalsh(_density_matrices(states)).min(
-            axis=1),
-        dt=dt, sample_stride=sample_stride)
+            axis=1))
 
 
 def analytic_diagonal_steady_state(config: DeviceConfig) -> np.ndarray:

@@ -11,7 +11,9 @@ that must agree with the trace route at roundoff level. At g = 0,
 ``detailed_balance_residual`` checks a diagonal state against the three
 uncoupled channels, and ``exact_diagonal_populations`` and
 ``exact_uncoupled_currents`` evaluate the package's closed forms of the
-uncoupled device in rationals, with no roundoff of their own.
+uncoupled device in rationals, with no roundoff of their own; at every g,
+``exact_currents`` solves the engine's own float64 generator and takes its
+energy traces in rationals.
 ``check_density`` checks that a 3x3 matrix is a density matrix.
 ``carnot_cop``, ``entropy_production`` and ``_cop_or_none`` are the scalar
 figures of merit, the oracles of current_table's COP, Carnot-bound and
@@ -46,6 +48,7 @@ from trithermal.generator import (
     _I33,
     _channel_weights,
     _unitary_block,
+    reduced_partial_secular,
 )
 from trithermal.rates import FrequencyDomainError, RatePair, transition_rates
 from trithermal.solver import SteadyStateError
@@ -273,6 +276,55 @@ def exact_uncoupled_currents(config: DeviceConfig) -> tuple[Fraction, ...]:
     return (2 * omega_a * (h_up * p_1 - h_down * p_a),
             2 * omega_b * (c_up * p_1 - c_down * p_b),
             2 * delta * (w_up * p_b - w_down * p_a))
+
+
+def _exact_solve(A: list, b: list) -> list:
+    """The solution of A x = b, square, in rationals, by Gaussian
+    elimination on the first nonzero pivot of each column."""
+    rows = [row + [rhs] for row, rhs in zip(A, b)]
+    n = len(rows)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            raise SteadyStateError("bordered system is singular")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, n):
+            factor = rows[i][k] / rows[k][k]
+            if factor:
+                rows[i] = [a - factor * c for a, c in zip(rows[i], rows[k])]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j]
+                                 for j in range(k + 1, n))) / rows[k][k]
+    return x
+
+
+def exact_currents(points: np.ndarray) -> list[tuple[Fraction, ...]]:
+    """(J_h, J_c, J_w) of stacked device points, exactly, for the float64
+    generator the engine builds: the dissipators and unitary block of
+    generator.reduced_partial_secular taken as rationals, L = D_h + D_c +
+    D_w + U summed exactly, the bordered system (L with its p1 row set to
+    the trace row) solved by exact elimination for e_1, and the energy
+    traces J_mu = E_2 (D_mu v)_2 + E_3 (D_mu v)_3 taken exactly at the
+    float64 energies E_k = omega_k. The population rows of U are 0 and
+    those of L v vanish, so the three currents sum to exactly 0."""
+    generators = reduced_partial_secular(points)
+    currents = []
+    for dissipators, unitary, omega_2, omega_3 in zip(
+            generators.dissipators.tolist(), generators.unitary.tolist(),
+            generators.eig.omega_2.tolist(), generators.eig.omega_3.tolist()):
+        blocks = [[[Fraction(x) for x in row] for row in block]
+                  for block in dissipators]
+        A = [[sum(block[i][j] for block in blocks) + Fraction(unitary[i][j])
+              for j in range(5)] for i in range(5)]
+        A[0] = [Fraction(1)] * 3 + [Fraction(0)] * 2
+        v = _exact_solve(A, [Fraction(1)] + [Fraction(0)] * 4)
+        energies = (Fraction(omega_2), Fraction(omega_3))
+        currents.append(tuple(
+            sum(energy * sum(d * x for d, x in zip(block[k], v))
+                for k, energy in zip((1, 2), energies))
+            for block in blocks))
+    return currents
 
 
 def heat_current_trace(generator: Generator, rho_ss: np.ndarray,

@@ -17,10 +17,7 @@ from trithermal.model import (
 )
 from trithermal import solver
 from trithermal.generator import reduced_partial_secular
-from trithermal.solver import (
-    default_timestep,
-    evolve,
-)
+from trithermal.solver import evolve
 from trithermal.observables import current_scale
 from trithermal.analysis import (
     MeasurementRangeError,
@@ -212,10 +209,9 @@ def test_criterion_9_positivity():
         relaxation_time = 1.0 / abs(np.max(decaying.real))
         horizon = 10.0 * relaxation_time
         generators = reduced_partial_secular(stack_points([config]))
-        stride = max(1, int(horizon / default_timestep(generators) / 2000))
         for level in (1, 2, 3):
             trajectory = evolve(generators, np.eye(5)[level - 1], horizon,
-                                sample_stride=stride)
+                                dt=horizon / 2000)
             worst = min(worst, float(trajectory.min_eigenvalues.min()))
     ok = worst >= -1e-8
     record(9, "pure-state trajectories keep min eigenvalue >= -1e-8 over "

@@ -5,12 +5,12 @@ import json
 import math
 import os
 import pkgutil
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import expm
 
 import trithermal
 import trithermal.cli as cli
@@ -25,7 +25,12 @@ from trithermal.cli import load_config, main, parse_bracket, parse_grid
 from trithermal.model import ConfigError
 from trithermal.observables import CurrentReport, CurrentTable
 
-from reference import build_full_secular, build_partial_secular
+from reference import (
+    build_full_secular,
+    build_partial_secular,
+    steady_state,
+    vectorize,
+)
 
 FIG4 = {
     "system": {"omega_a": 1.0, "omega_b": 0.8, "g": 0.02},
@@ -264,17 +269,20 @@ def test_amplifier_errors(config_path, capsys, tw, document, code, message):
 
 
 #: settings that selected nothing: the engine runs on one thread, takes
-#: alpha_J as an exact derivative and integrates the partial-secular
-#: equation, which at g = 0 is the full-secular one
+#: alpha_J as an exact derivative and evolves the partial-secular
+#: equation, which at g = 0 is the full-secular one, by its exact
+#: propagator from one sample to the next
 RETIRED_SETTINGS = [["sweep", "--threads", "4"],
                     ["amplifier", "--tw", "6", "--step", "0.3"],
                     ["phase-map", "--grid", "Tw=3:6:2", "--grid", "g=0:0.2:2",
                      "--step", "1"],
-                    ["dynamics", "--t-final", "10", "--secular", "full"]]
+                    ["dynamics", "--t-final", "10", "--secular", "full"],
+                    ["dynamics", "--t-final", "10", "--stride", "5"]]
 
 
 @pytest.mark.parametrize("argv", RETIRED_SETTINGS,
-                         ids=[argv[0] for argv in RETIRED_SETTINGS])
+                         ids=["sweep", "amplifier", "phase-map", "dynamics",
+                              "dynamics-stride"])
 def test_retired_settings_are_refused(config_path, capsys, argv):
     assert main([argv[0], "--config", config_path(FIG4)] + argv[1:]) == 1
     captured = capsys.readouterr()
@@ -307,11 +315,8 @@ def test_thermometer_requires_uncoupled(config_path):
     ("--dt", "1e-320", "t_final / dt must be a finite number of steps"),
     ("--t-final", "1e10 --dt 1e-300",
      "t_final / dt must be a finite number of steps"),
-    ("--t-final", "1e10 --dt 1e-300 --stride 5",
-     "t_final / dt must be a finite number of steps"),
-    ("--t-final", "1e9 --dt 1 --stride 1",
-     "1000000000 samples exceed the limit of 1000000; "
-     "raise dt or the sample stride")])
+    ("--t-final", "1e9 --dt 1",
+     "1000000000 samples exceed the limit of 1000000; raise dt")])
 def test_dynamics_rejects_bad_times(config_path, capsys, flag, value,
                                     message):
     """A config error (exit 1), not a traceback or a one-sample run; a
@@ -342,10 +347,10 @@ def test_negative_transition_frequency_is_a_numerical_failure(
 
 
 def test_dynamics_summary_names_the_last_sample(config_path, capsys):
-    """A stride past --t-final stores t = 0 and one later sample; the
+    """A --dt past --t-final stores t = 0 and one later sample; the
     summary gives that sample's time, not the requested one."""
     assert main(["dynamics", "--config", config_path(FIG4),
-                 "--t-final", "1", "--stride", "1000"]) == 0
+                 "--t-final", "1", "--dt", "1000"]) == 0
     captured = capsys.readouterr()
     times = [float(r["t"]) for r in read_rows(captured.out)]
     assert len(times) == 2 and times[0] == 0 and times[1] > 1
@@ -353,19 +358,23 @@ def test_dynamics_summary_names_the_last_sample(config_path, capsys):
         f"dynamics: 2 samples to t = {times[1]:g}, ")
 
 
-@pytest.mark.parametrize("argv", [["--dt", "1e300", "--stride", "10000000000"],
-                                  ["--dt", "1e300"]],
-                         ids=["stride-overflows", "step-overflows"])
+def assert_relaxes(config_path, capsys, argv):
+    """A dynamics run of the FIG4 device exits 0, keeps every trace within
+    1e-12 of 1 and ends within 1e-12 of the 9x9 reference steady state."""
+    assert main(["dynamics", "--config", config_path(FIG4), *argv]) == 0
+    rows = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert np.max(np.abs(rows[:, 20] - 1.0)) <= 1e-12
+    rho = steady_state(build_partial_secular(load_config(config_path(FIG4))))
+    entries = np.stack([rho.real, rho.imag], axis=-1).reshape(18)
+    assert np.max(np.abs(rows[-1, 1:19] - entries)) <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [["--dt", "1e300"]], ids=["step-overflows"])
 def test_overflowing_step_is_a_numerical_failure(config_path, capsys, argv):
-    """A step of 1e300 overflows the RK4 update: exit 2 with the drift
-    error and no floating-point warning, also where dt * stride overflows
-    to inf and t_final / (dt * stride) is 0: one stride is integrated."""
-    assert main(["dynamics", "--config", config_path(FIG4),
-                 "--t-final", "1", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: step size too large: trace drift nan; "
-                            "retry with dt <= 1.000e+299\n")
+    """A sample spacing of 1e300 is one exact step to the steady state,
+    with no floating-point warning."""
+    assert_relaxes(config_path, capsys, ["--t-final", "1", *argv])
 
 
 #: devices whose rate ratios w / w_c and w / T overflow: e^-x is 0 there
@@ -417,15 +426,17 @@ NON_FINITE = ("error: steady-state solve failed: generator has non-finite "
     (["amplifier", "--tw", "2"], NON_FINITE),
     (["phase-map", "--grid", "Tw=1:5:3", "--grid", "g=0:0.1:3"],
      "phase-map: 9 point(s), 9 failure(s)\n"),
+    (["dynamics", "--t-final", "10"],
+     "error: generator has non-finite entries\n"),
 ], ids=["sweep", "valve-c", "valve-h", "refrigerator", "amplifier",
-        "phase-map"])
+        "phase-map", "dynamics"])
 def test_overflowing_rates_raise_no_warning(config_path, capsys, bath, argv,
                                             message):
     """A gamma of 1e308 on any one bath overflows its rates, and the
     engine fails every point with a non-finite generator: exit 2 with that
     error, and no floating-point warning (an error under the suite's
     filter) on the way, from the rates, the generator, the traces, the T_w
-    slopes or the root search's cubic."""
+    slopes, the root search's cubic or the propagator."""
     document = json.loads(json.dumps(FIG4))
     document["baths"][bath]["gamma"] = 1e308
     assert main([*argv, "--config", config_path(document),
@@ -434,16 +445,10 @@ def test_overflowing_rates_raise_no_warning(config_path, capsys, bath, argv,
 
 
 def test_roundoff_drift_is_not_a_step_size_failure(config_path, capsys):
-    """At the default, stable step, the trace of a 1e10-long run drifts
-    past 1e-6 by roundoff alone: exit 2 naming that, with no advice to
-    take a smaller step, which would only add steps."""
-    assert main(["dynamics", "--config", config_path(FIG4),
-                 "--t-final", "1e10"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert re.fullmatch(r"error: trace drift \S+ is roundoff accumulated "
-                        r"over stable steps; a smaller dt only adds steps\n",
-                        captured.err)
+    """Runs to 1e10, 1e12 and 1e300 take 1000 exact samples each: the
+    trace holds to roundoff and the run ends at the steady state."""
+    for t_final in ("1e10", "1e12", "1e300"):
+        assert_relaxes(config_path, capsys, ["--t-final", t_final])
 
 
 def test_dynamics_positivity_column(config_path, capsys):
@@ -541,10 +546,10 @@ def test_every_package_error_has_an_exit_code():
 #: engine's columnar table. valve_c.csv, valve_h.csv and refrigerator.csv
 #: hold the roots of the cubic in the work bath's occupation, a few ulp
 #: from the recorded ones (test_root_goldens_stay_at_the_recorded_roots).
-#: The dynamics files hold the trajectories of the RK4 on the reduced
-#: closed block, which replaced a 9x9 RK4 and sit no farther from the
-#: exact RK4 sequence than its files did
-#: (test_dynamics_golden_matches_extended_rk4).
+#: The dynamics files hold the trajectories of the exact propagator on the
+#: reduced closed block, 1000 samples each, within roundoff of the
+#: exponential of the 9x9 reference generator
+#: (test_dynamics_golden_matches_the_9x9_exponential).
 #: thermometer.csv holds the reading of the THERMOMETER device as
 #: csv.writer wrote it. None may change a byte
 GOLDEN = [
@@ -625,56 +630,37 @@ def test_root_goldens_stay_at_the_recorded_roots(config_path, name):
     assert math.copysign(1.0, below) != math.copysign(1.0, above)
 
 
-def _extended_rk4(L, level, t_final):
-    """The dynamics command's RK4 sequence from a pure level under a 9x9
-    generator, with its default step and stride, in extended precision:
-    the sample times and the vectorized states."""
-    dt = 0.01 / np.max(np.abs(np.diag(L)))
-    stride = max(1, int(t_final / dt / 1000))
-    samples = int(np.ceil(t_final / (dt * stride)))
-    hL = (dt * L).astype(np.clongdouble)
-    eye = np.eye(9, dtype=np.clongdouble)
-    step = eye
-    for order in (4, 3, 2, 1):
-        step = eye + (hL / order) @ step
-    stride_step = np.linalg.matrix_power(step, stride)
-    v = np.zeros(9, dtype=np.clongdouble)
-    v[4 * (level - 1)] = 1.0
-    states = [v]
-    for _ in range(samples):
-        v = stride_step @ v
-        states.append(v)
-    return np.arange(samples + 1) * dt * stride, np.array(states)
+#: golden trajectory files and their 9x9 reference generators
+GOLDEN_DYNAMICS = [("dynamics_partial.csv", build_partial_secular),
+                   ("dynamics_full_g0.csv", build_full_secular)]
+#: bound on the distance of a density-matrix entry or min_eigenvalue of a
+#: golden trajectory from expm(t L) of its reference generator; the files
+#: are 9.2e-15 and 6.7e-15 from it
+GOLDEN_EXPM_GAP = 1e-14
 
 
-#: (golden file, its 9x9 reference generator, the greatest distance of a
-#: density-matrix entry or min_eigenvalue from the extended-precision RK4
-#: under it). The bounds are the distances of the files the 9x9 RK4 wrote,
-#: 1.34e-12 and 2.08e-13; the reduced RK4's are 9.4e-14 and 2.07e-13.
-GOLDEN_DYNAMICS = [("dynamics_partial.csv", build_partial_secular, 1.3e-12),
-                   ("dynamics_full_g0.csv", build_full_secular, 2.1e-13)]
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
-                    reason="needs a longdouble wider than float64")
-@pytest.mark.parametrize("name, build, bound", GOLDEN_DYNAMICS,
+@pytest.mark.parametrize("name, build", GOLDEN_DYNAMICS,
                          ids=[case[0] for case in GOLDEN_DYNAMICS])
-def test_dynamics_golden_matches_extended_rk4(config_path, name, build,
-                                              bound):
-    """Both golden trajectories (level 2 to t = 200) are the RK4 sequence
-    of the 9x9 reference generator up to roundoff: the same sample times
-    bit for bit, entries within the bound, and a trace column that is the
-    sum of the file's own populations."""
+def test_dynamics_golden_matches_the_9x9_exponential(config_path, name,
+                                                     build):
+    """Both golden trajectories (level 2 to t = 200) are the exact
+    evolution under the 9x9 reference generator up to roundoff: 1000
+    samples after t = 0, evenly spaced, the last at t = 200, each within
+    GOLDEN_EXPM_GAP of expm(t L) applied to the initial state, and a trace
+    column that is the sum of the file's own populations."""
     config = load_config(config_path(GOLDEN_CONFIGS.get(name, FIG4)))
-    times, states = _extended_rk4(build(config).matrix, 2, 200.0)
     rows = np.loadtxt(DATA / name, delimiter=",", skiprows=1)
-    assert np.array_equal(rows[:, 0], times)
+    times = rows[:, 0]
+    assert np.array_equal(times, np.linspace(0.0, 200.0, 1001))
+    states = expm(times[:, None, None] * build(config).matrix) @ vectorize(
+        np.diag([0.0, 1.0, 0.0]))
     # column stacking: vec(rho)[i + 3 j] = rho[i, j]
     matrices = states.reshape(-1, 3, 3).transpose(0, 2, 1)
     entries = np.stack([matrices.real, matrices.imag], axis=-1)
-    assert np.max(np.abs(rows[:, 1:19] - entries.reshape(-1, 18))) <= bound
-    lowest = np.linalg.eigvalsh(matrices.astype(complex)).min(axis=1)
-    assert np.max(np.abs(rows[:, 19] - lowest)) <= bound
+    assert (np.max(np.abs(rows[:, 1:19] - entries.reshape(-1, 18)))
+            <= GOLDEN_EXPM_GAP)
+    lowest = np.linalg.eigvalsh(matrices).min(axis=1)
+    assert np.max(np.abs(rows[:, 19] - lowest)) <= GOLDEN_EXPM_GAP
     assert np.array_equal(rows[:, 20], rows[:, 1] + rows[:, 9] + rows[:, 17])
 
 

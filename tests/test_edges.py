@@ -44,11 +44,10 @@ COLDEST = sys.float_info.min
 
 
 @st.composite
-def edge_documents(draw, coldest=0.0):
-    """Config documents of operating-range devices with one edge applied.
-
-    Temperatures that tend to 0 are drawn down to ``coldest``, exclusive
-    when it is 0."""
+def operating_documents(draw):
+    """Config documents of devices in the operating range, the benchmark's
+    too: omega_b 0.5 to 0.9, T_c between omega_b and T_h = 1, g 0 to 0.2,
+    T_w 0.5 to 8, gamma 0.004 to 0.016 and cutoff 20 to 100."""
     omega_b = draw(st.floats(0.5, 0.9))
     t_c = omega_b + draw(st.floats(0.05, 0.95)) * (1.0 - omega_b)
     system = {"omega_a": 1.0, "omega_b": omega_b,
@@ -57,6 +56,17 @@ def edge_documents(draw, coldest=0.0):
               "gamma": draw(st.floats(0.004, 0.016)),
               "cutoff": draw(st.floats(20.0, 100.0))}
              for label, t in zip("hcw", (1.0, t_c, draw(st.floats(0.5, 8.0))))]
+    return {"system": system, "baths": baths}
+
+
+@st.composite
+def edge_documents(draw, coldest=0.0):
+    """Config documents of operating-range devices with one edge applied.
+
+    Temperatures that tend to 0 are drawn down to ``coldest``, exclusive
+    when it is 0."""
+    document = draw(operating_documents())
+    system, baths = document["system"], document["baths"]
     edge = draw(st.sampled_from(["cold", "hot", "detached", "degenerate",
                                  "large g"]))
     bath = draw(st.sampled_from(baths))
@@ -72,7 +82,7 @@ def edge_documents(draw, coldest=0.0):
         system["g"] = draw(st.just(0.0) | st.floats(0.0, 0.2))
     else:
         system["g"] = draw(st.floats(0.3, 1e3))
-    return {"system": system, "baths": baths}
+    return document
 
 
 def log_uniform(low, high):
