@@ -15,6 +15,7 @@ from .model import POINT_COLUMNS, ConfigError, DeviceConfig, stack_points
 from .observables import (
     CurrentReport,
     CurrentTable,
+    _traced,
     current_table,
     write_grid_csv,
 )
@@ -33,7 +34,6 @@ AMPLIFIER_RESPONSE_FLOOR = 5e-8
 #: from the low end up to the high end: over a valve bracket, and over the
 #: thermometer's range
 _BRACKET_PROBES = 9
-_RANGE_PROBES = 17
 
 #: relative tolerance of every root search: the current changes sign
 #: within _REL_TOL * hi / 2 of the returned T_w
@@ -219,7 +219,7 @@ def _probed(config: DeviceConfig, which: str, grid: list[float],
     with d = _REL_TOL * hi / 4 for the grid's top hi. At g = 0 the one
     root is equilibrium_tw, where the uncoupled device's one cycle of
     transitions carries no net flux (J. Schnakenberg, Rev. Mod. Phys. 48,
-    571, 1976); at g > 0 the roots are _cubic_roots'."""
+    571, 1976); at g > 0 they are _cubic_roots', solved ahead of it."""
     lo, hi = grid[0], grid[-1]
     if config.system.g != 0.0:
         roots = _cubic_roots(config, which, lo, hi)
@@ -314,19 +314,21 @@ _FIT = np.linalg.inv(np.vander(_NODES, increasing=True))
 def _cubic_roots(config: DeviceConfig, which: str, lo: float,
                  hi: float) -> list[float]:
     """The T_w in (lo, hi), ascending, at which J_which changes sign, from
-    one generator build and solve and no engine call; none where the
-    bracket reaches the rates' series branch or their 1e-3 * Omega floor.
+    the engine's steady-state stage (observables._traced) at four T_w; none
+    where the bracket reaches the rates' series branch or their 1e-3 *
+    Omega floor, or where one of the four fails the engine's checks.
 
     Only the work bath depends on T_w, through its one rate pair at Omega
     = hypot(2 g, delta): up = G n and down = up + G, with G the spectral
     density and n = 1 / expm1(Omega / T_w). So the generator is L_* + G n M
     (generator.reduced_work_slope), and by Cramer's rule det A and det A * v
     of the bordered system A v = e_1 are polynomials in n of degree at
-    most 3, the rank of the bordered M; so are J_h det A and J_c det A, and
-    J_w det A = -(J_h + J_c) det A by the first law. The cubic is fitted
-    through its values at the Chebyshev points of [n(lo), n(hi)], and its
-    roots map back by T_w = Omega / log1p(1 / n), one to one between
-    those limits.
+    most 3, the rank of the bordered M; so are J_h det A, J_c det A and,
+    by the first law, J_w det A. Each J is its own dissipator's trace, so
+    a J_w far below J_h keeps its precision. The cubic is fitted through
+    its values at the Chebyshev points of [n(lo), n(hi)], and its roots
+    map back by T_w = Omega / log1p(1 / n), one to one between those
+    limits.
     """
     omega = math.hypot(2.0 * config.system.g, config.system.delta)
     if not (1e-3 * omega <= lo and omega > SMALL_FREQUENCY_FACTOR * hi):
@@ -340,27 +342,11 @@ def _cubic_roots(config: DeviceConfig, which: str, lo: float,
         generators = reduced_partial_secular(_points_at(
             stack_points([config]),
             omega / np.log1p(1.0 / (middle + half * _NODES))))
-        bordered = _bordered(generators.matrix)
-        try:
-            inverse = np.linalg.inv(bordered)
-        except np.linalg.LinAlgError:
+        errors, terms = _traced(generators)[:2]
+        if any(errors):
             return []
-        # one step of refinement, and the traces of D_h and D_c (E_1 = 0),
-        # in extended precision, as the engine polishes and traces its
-        # states (solver.reduced_steady_states, observables._block_table)
-        dissipators = generators.dissipators.astype(np.longdouble)
-        extended = dissipators.sum(axis=1) + generators.unitary
-        extended[:, 0] = bordered[:, 0]
-        residual = extended @ inverse[:, :, :1]
-        residual[:, 0] -= 1.0
-        states = inverse[:, :, :1] - (inverse @ residual.astype(float)
-                                      ).astype(np.longdouble)
-        energies = np.array([generators.eig.omega_2,
-                             generators.eig.omega_3]).T
-        flows = ((dissipators[:, :2, 1:3] @ states[:, None])[..., 0]
-                 * energies[:, None, :]).sum(axis=2).astype(float)
-        j_h, j_c = flows.T * np.linalg.det(bordered)
-        values = {"h": j_h, "c": j_c, "w": -(j_h + j_c)}[which]
+        values = (terms[:, "hcw".index(which)].sum(axis=1).astype(float)
+                  * np.linalg.det(_bordered(generators.matrix)))
         coefficients = (_FIT @ values).tolist()
     roots = [omega / math.log1p(1.0 / n) for n in
              (middle + half * t for t in _unit_roots(coefficients)) if n > 0]
@@ -446,7 +432,7 @@ def measure_temperature(config: DeviceConfig) -> ThermometerReading:
 
     The control temperature rises from T_h to _TW_MAX_FACTOR * T_h until
     the conductor current J_h changes sign. One engine call solves
-    _RANGE_PROBES points of that range, uniform in 1 / T_w, with the
+    _BRACKET_PROBES points of that range, uniform in 1 / T_w, with the
     closed-form root equilibrium_tw and the points that certify it; the
     zero at the first sign change going up is found as in
     find_current_zero, with _TW_MAX_FACTOR * T_h as hi. A failed solve
@@ -461,7 +447,7 @@ def measure_temperature(config: DeviceConfig) -> ThermometerReading:
     t_w_max = _TW_MAX_FACTOR * t_h
     config.with_bath_temperature("w", t_w_max)  # the model's check
     found = _sign_change(config, "h", *_probed(
-        config, "h", _probe_grid(t_h, t_w_max, _RANGE_PROBES), 1.0))
+        config, "h", _probe_grid(t_h, t_w_max, _BRACKET_PROBES), 1.0))
     if found is None:
         raise MeasurementRangeError(
             "sample below measurable range: J_h kept its sign up to "

@@ -208,23 +208,32 @@ def current_table(points: np.ndarray, tw_slopes: bool = False) -> CurrentTable:
     return table
 
 
+def _traced(generators: ReducedGenerators) -> tuple:
+    """The steady-state stage of _block_table and analysis._cubic_roots:
+    per point its error or None, the (N, 3, 2) channel terms whose sums
+    over the last axis are J_h, J_c and J_w, and, for _tw_slopes, the
+    states v, the bordered inverses and the (N, 2) energies.
+
+    Tr[H_S D_mu(rho)] sums the energy-weighted population rows (E_1 = 0);
+    the cold bath's two terms are its 1<->2 and 1<->3 channels. The
+    float64 energies multiply the extended rows exactly as extended ones
+    would."""
+    errors = [FrequencyDomainError("transition frequency must be non-negative")
+              if out else None for out in generators.out_of_domain]
+    v, v_ext, inverse, dissipators_ext = reduced_steady_states(generators,
+                                                               errors)
+    energies = np.array([generators.eig.omega_2, generators.eig.omega_3]).T
+    terms = ((dissipators_ext[:, :, 1:3] @ v_ext[:, None, :, None])[..., 0]
+             * energies[:, None, :])
+    return errors, terms, v, inverse, energies
+
+
 def _block_table(points: np.ndarray, values: np.ndarray,
                  slopes: np.ndarray | None) -> list:
     """Fill ``values`` (and ``slopes``) of one block of points; returns
     the block's per-point errors."""
     generators = reduced_partial_secular(points)
-    errors = [FrequencyDomainError("transition frequency must be non-negative")
-              if out else None for out in generators.out_of_domain]
-    v, v_ext, inverse, dissipators_ext = reduced_steady_states(generators,
-                                                               errors)
-
-    # Tr[H_S D_mu(rho)] sums the energy-weighted population rows (E_1 = 0);
-    # the two terms of the cold bath's sum are its 1<->2 and 1<->3 channels.
-    # The float64 energies multiply the extended rows exactly as extended
-    # ones would.
-    energies = np.array([generators.eig.omega_2, generators.eig.omega_3]).T
-    terms = ((dissipators_ext[:, :, 1:3] @ v_ext[:, None, :, None])[..., 0]
-             * energies[:, None, :])
+    errors, terms, v, inverse, energies = _traced(generators)
     currents = values[:, :_J_C12]
     currents[:] = terms.sum(axis=2)
     values[:, _J_C12:_COHERENCE] = terms[:, 1]

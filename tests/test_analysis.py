@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -48,6 +49,7 @@ from trithermal.analysis import (
 from reference import (
     build_partial_secular,
     classify_function,
+    exact_currents,
     response_ratio,
     steady_state,
     steady_state_report,
@@ -274,6 +276,25 @@ def test_root_engine_calls_at_g0(engine_calls, which):
     assert t_w == equilibrium_tw(1.0, 0.8, 1.0, 0.85)
 
 
+@pytest.mark.parametrize("gamma_w", [1e-8, 1e-10, 1e-12])
+def test_weak_work_bath_root_in_one_call(engine_calls, gamma_w):
+    """The FIG4 device with a weakly coupled work bath: J_w is far below
+    J_h and J_c, yet the cubic, fitted to J_w's own trace, gives its root
+    in the search's one engine call, within 1e-13 (relative) of the exact
+    sign change of the engine's float64 generator (one secant step on
+    reference.exact_currents from the root)."""
+    config = make_config()
+    config = DeviceConfig(config.system, (
+        *config.baths[:2], BathSpec("w", 2.0, gamma_w, 50.0)))
+    root = find_current_zero(config, "w", (1.0, 5.0))
+    assert engine_calls == [analysis._BRACKET_PROBES + 3]
+    x0, x1 = Fraction(root), Fraction(root * (1.0 + 1e-9))
+    (*_, j0), (*_, j1) = exact_currents(stack_points(
+        config.with_bath_temperature("w", float(x)) for x in (x0, x1)))
+    exact = x0 - j0 * (x1 - x0) / (j1 - j0)
+    assert abs(x0 - exact) <= Fraction(1e-13) * exact
+
+
 def config_file(config, path):
     """``path``, holding ``config`` as the command line reads it."""
     path.write_text(json.dumps({
@@ -324,7 +345,7 @@ def test_refrigerator_reuses_the_report_at_its_probe(engine_calls,
 def test_thermometer_engine_calls(engine_calls):
     measure_temperature(thermometer_config(0.7))
     # the range's probes and the closed-form root with its certificate
-    assert engine_calls == [analysis._RANGE_PROBES + 3]
+    assert engine_calls == [analysis._BRACKET_PROBES + 3]
 
 
 def test_only_the_amplifier_takes_derivatives(monkeypatch):
